@@ -112,7 +112,8 @@ void usage(const char* argv0, std::FILE* out) {
       "  --save-db PATH / --load-db PATH   persist / warm the TuneDb\n"
       "execution flags:\n"
       "  --wavefront             wavefront executor (default sequential)\n"
-      "  --arena                 plan-backed buffer arena\n"
+      "  --arena                 the model's persistent arena (default: a\n"
+      "                          per-call arena over the same plan)\n"
       "observability flags:\n"
       "  --trace PATH            Chrome trace JSON (spans + counter tracks)\n"
       "  --report                per-layer breakdown from the trace\n"
@@ -389,8 +390,8 @@ int main(int argc, char** argv) {
   std::printf("  latency %.2f ms [%s%s] (conv %.2f, vision %.2f, copies %.3f, "
               "fallback %.2f, other %.2f)\n",
               r.latency_ms, wavefront ? "wavefront" : "sequential",
-              arena ? ", arena" : "", r.conv_ms, r.vision_ms, r.copy_ms,
-              r.fallback_ms, r.other_ms);
+              arena ? ", persistent arena" : "", r.conv_ms, r.vision_ms,
+              r.copy_ms, r.fallback_ms, r.other_ms);
   if (r.counters.launches > 0) {
     std::printf("  counters: %lld launches, %.1f GFLOPS achieved, %.1f GB/s "
                 "DRAM, occupancy %.2f, %s-bound overall\n",
@@ -526,7 +527,6 @@ int main(int argc, char** argv) {
       spec.model = &cm;
       spec.run.mode = ropts.mode;
       spec.run.compute_numerics = false;
-      spec.run.use_arena = true;
       engine.add_tenant(std::move(spec));
     }
     engine.start();

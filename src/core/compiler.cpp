@@ -45,19 +45,7 @@ CompiledModel compile(models::Model model, const sim::Platform& platform,
   // per-dispatch database lookup. Content matches what the executor would
   // resolve per run, so simulated latencies are unchanged.
   for (int id : cm.graph_.conv_node_ids()) {
-    const graph::Node& n = cm.graph_.node(id);
-    const int block = [&] {
-      auto it = cm.layouts_.find(id);
-      return it == cm.layouts_.end() ? 1 : it->second;
-    }();
-    tune::ScheduleConfig cfg;
-    if (cm.tuned_) {
-      cfg = tune::lookup_or_default(n.conv, platform.gpu, block, &cm.db_);
-    } else {
-      cfg = ops::conv2d_manual_schedule(n.conv, platform.gpu);
-      cfg.set("layout_block", block);
-    }
-    cm.conv_schedules_.emplace(id, std::move(cfg));
+    cm.conv_schedules_.emplace(id, cm.conv_schedule(cm.graph_, id));
   }
 
   // Plan memory once. Buffer assignment depends only on liveness, so every
@@ -83,12 +71,10 @@ RunResult CompiledModel::run(const RunOptions& opts) const {
   // variant — rebound graph, re-resolved buffer sizes over the same buffer
   // assignment, pre-resolved conv schedules. The seed binding runs the
   // compiled graph exactly as before.
-  const graph::ShapeSpec& spec = graph_.shape_spec();
   const ShapeVariant* variant = resolve_variant(opts.batch, opts.input_hw);
   const graph::Graph& run_graph = variant != nullptr ? variant->graph : graph_;
-  const int64_t bound_batch =
-      variant != nullptr ? variant->batch : spec.seed_batch;
-  const int64_t bound_hw = variant != nullptr ? variant->hw : spec.seed_hw;
+  const graph::MemoryPlan* plan =
+      variant != nullptr ? &variant->plan : plan_.get();
 
   graph::ExecOptions eopts;
   eopts.compute_numerics = opts.compute_numerics;
@@ -98,7 +84,6 @@ RunResult CompiledModel::run(const RunOptions& opts) const {
   eopts.conv_schedules =
       variant != nullptr ? &variant->conv_schedules : &conv_schedules_;
   eopts.mode = opts.mode;
-  eopts.use_arena = opts.use_arena;
   eopts.trace = opts.trace;
   // JIT kernels are specialized to the seed shapes; non-seed bindings take
   // the reference path (bit-identical numerics, host time only).
@@ -115,61 +100,49 @@ RunResult CompiledModel::run(const RunOptions& opts) const {
     opts.trace->begin(std::move(meta));
   }
 
+  // The context whose arena this run's node outputs live in.
+  ServingContext* ctx = opts.serving_context;
   std::unique_lock<std::mutex> serving_lock;
-  if (opts.serving_context != nullptr) {
+  std::unique_ptr<ServingContext> per_call;
+  if (ctx != nullptr) {
     // A worker-private context: the caller guarantees exclusivity, so no
     // model-wide lock — this is what lets a serving pool run one model
     // concurrently across workers.
-    IGC_CHECK(opts.serving_context->batch_ == bound_batch &&
-              opts.serving_context->hw_ == bound_hw)
-        << "RunOptions shape binding (batch " << bound_batch << ", hw "
-        << bound_hw << ") does not match the serving context's (batch "
-        << opts.serving_context->batch_ << ", hw "
-        << opts.serving_context->hw_
-        << ") — build the context with make_serving_context(batch, hw, pool)";
-    eopts.use_arena = true;
-    eopts.plan = &opts.serving_context->plan_;
-    eopts.arena = opts.serving_context->arena_.get();
+    IGC_CHECK(ctx->plan_ == plan)
+        << "the serving context (batch " << ctx->batch_ << ", hw " << ctx->hw_
+        << ") was not built for this model at this run's shape binding — "
+           "build it with make_serving_context(batch, hw, pool)";
   } else if (opts.use_arena) {
-    // Arena runs share one set of buffers, so they serialize on the model.
-    // The arena itself is built once; a binding change re-sizes its planned
-    // buffers in place (pages are reused where they still fit).
+    // The persistent context: its buffers are shared, so runs serialize on
+    // the model. It is built once with a private pool that keeps page runs
+    // cached across calls; a binding change re-sizes its planned buffers in
+    // place (pages are reused where they still fit).
     serving_lock = std::unique_lock<std::mutex>(serving_->mu);
-    const graph::MemoryPlan* use_plan =
-        variant != nullptr ? &variant->plan : plan_.get();
-    const std::pair<int64_t, int64_t> binding{bound_batch, bound_hw};
-    if (serving_->arena == nullptr) {
-      serving_->arena = std::make_unique<BufferArena>(use_plan->buffer_bytes);
-      serving_->arena_binding = binding;
-    } else if (serving_->arena_binding != binding) {
-      serving_->arena->rebind(use_plan->buffer_bytes);
-      serving_->arena_binding = binding;
+    std::unique_ptr<ServingContext>& own = serving_->context;
+    if (own == nullptr) {
+      own = new_context(variant, std::make_shared<PagePool>(),
+                        /*cache_runs=*/true);
+    } else if (own->plan_ != plan) {
+      bind_context(*own, variant);
+      own->arena_->rebind(plan->buffer_bytes);
     }
-    eopts.plan = use_plan;
-    eopts.arena = serving_->arena.get();
+    ctx = own.get();
+  } else {
+    // A per-call arena over the binding's compiled plan: pages come from the
+    // model's pool and go back when the call ends, so concurrent calls do
+    // not serialize and nothing is replanned.
+    per_call = new_context(variant, page_pool(), /*cache_runs=*/false);
+    ctx = per_call.get();
   }
+  eopts.plan = ctx->plan_;
+  eopts.arena = ctx->arena_.get();
 
   Rng rng(opts.input_seed);
   const auto host_t0 = std::chrono::steady_clock::now();
-  const graph::ExecResult r =
-      graph::execute(run_graph, *platform_, eopts, rng);
+  RunResult out = graph::execute(run_graph, *platform_, eopts, rng);
   const double host_ms = std::chrono::duration<double, std::milli>(
                              std::chrono::steady_clock::now() - host_t0)
                              .count();
-  RunResult out;
-  out.output = r.output;
-  out.latency_ms = r.latency_ms;
-  out.serial_ms = r.serial_ms;
-  out.critical_path_ms = r.critical_path_ms;
-  out.conv_ms = r.conv_ms;
-  out.vision_ms = r.vision_ms;
-  out.copy_ms = r.copy_ms;
-  out.fallback_ms = r.fallback_ms;
-  out.other_ms = r.other_ms;
-  out.peak_intermediate_bytes = r.peak_intermediate_bytes;
-  out.arena_bytes = r.arena_bytes;
-  out.arena_page_bytes = r.arena_page_bytes;
-  out.counters = r.counters;
 
   // Serving telemetry: every run() feeds the process-wide latency families,
   // so a sampler or /metrics scrape can watch tail latency on a live
@@ -240,31 +213,30 @@ const CompiledModel::ShapeVariant* CompiledModel::resolve_variant(
   // Conv schedules for the rebound workloads, resolved with the same logic
   // compile() used (lookup only — no tuning trials happen here).
   for (int id : v->graph.conv_node_ids()) {
-    const graph::Node& n = v->graph.node(id);
-    const int block = [&] {
-      auto bit = layouts_.find(id);
-      return bit == layouts_.end() ? 1 : bit->second;
-    }();
-    tune::ScheduleConfig cfg;
-    if (tuned_) {
-      cfg = tune::lookup_or_default(n.conv, platform_->gpu, block, &db_);
-    } else {
-      cfg = ops::conv2d_manual_schedule(n.conv, platform_->gpu);
-      cfg.set("layout_block", block);
-    }
-    v->conv_schedules.emplace(id, std::move(cfg));
+    v->conv_schedules.emplace(id, conv_schedule(v->graph, id));
   }
   const ShapeVariant* raw = v.get();
   serving_->variants.emplace(key, std::move(v));
   return raw;
 }
 
+tune::ScheduleConfig CompiledModel::conv_schedule(const graph::Graph& g,
+                                                  int id) const {
+  const ops::Conv2dParams& p = g.node(id).conv;
+  const auto it = layouts_.find(id);
+  const int block = it == layouts_.end() ? 1 : it->second;
+  if (tuned_) return tune::lookup_or_default(p, platform_->gpu, block, &db_);
+  tune::ScheduleConfig cfg = ops::conv2d_manual_schedule(p, platform_->gpu);
+  cfg.set("layout_block", block);
+  return cfg;
+}
+
 int64_t ServingContext::arena_bytes() const {
-  return arena_ == nullptr ? 0 : arena_->capacity_bytes();
+  return arena_->capacity_bytes();
 }
 
 int64_t ServingContext::arena_page_bytes() const {
-  return arena_ == nullptr ? 0 : arena_->page_bytes_held();
+  return arena_->page_bytes_held();
 }
 
 const std::shared_ptr<PagePool>& ServingContext::page_pool() const {
@@ -283,17 +255,29 @@ std::unique_ptr<ServingContext> CompiledModel::make_serving_context() const {
 
 std::unique_ptr<ServingContext> CompiledModel::make_serving_context(
     int64_t batch, int64_t input_hw, std::shared_ptr<PagePool> pool) const {
+  // Pages return to the shared pool per request (cache_runs off).
+  return new_context(resolve_variant(batch, input_hw),
+                     pool != nullptr ? std::move(pool) : page_pool(),
+                     /*cache_runs=*/false);
+}
+
+void CompiledModel::bind_context(ServingContext& ctx,
+                                 const ShapeVariant* variant) const {
   const graph::ShapeSpec& spec = graph_.shape_spec();
-  const ShapeVariant* variant = resolve_variant(batch, input_hw);
+  ctx.plan_ = variant != nullptr ? &variant->plan : plan_.get();
+  ctx.batch_ = variant != nullptr ? variant->batch : spec.seed_batch;
+  ctx.hw_ = variant != nullptr ? variant->hw : spec.seed_hw;
+}
+
+std::unique_ptr<ServingContext> CompiledModel::new_context(
+    const ShapeVariant* variant, std::shared_ptr<PagePool> pool,
+    bool cache_runs) const {
   auto ctx = std::unique_ptr<ServingContext>(new ServingContext());
-  ctx->plan_ = variant != nullptr ? variant->plan : *plan_;
-  ctx->batch_ = variant != nullptr ? variant->batch : spec.seed_batch;
-  ctx->hw_ = variant != nullptr ? variant->hw : spec.seed_hw;
+  bind_context(*ctx, variant);
   PagedArena::Options aopts;
-  aopts.cache_runs = false;  // pages return to the shared pool per request
-  ctx->arena_ = std::make_unique<BufferArena>(
-      ctx->plan_.buffer_bytes,
-      pool != nullptr ? std::move(pool) : page_pool(), aopts);
+  aopts.cache_runs = cache_runs;
+  ctx->arena_ = std::make_unique<BufferArena>(ctx->plan_->buffer_bytes,
+                                              std::move(pool), aopts);
   return ctx;
 }
 
@@ -311,12 +295,7 @@ std::map<std::string, std::string> CompiledModel::generated_sources() const {
     if (p.groups != 1) continue;  // IR lowering covers non-grouped conv
     const std::string key = p.workload_key();
     if (out.count(key)) continue;
-    const int block = [&] {
-      auto it = layouts_.find(id);
-      return it == layouts_.end() ? 1 : it->second;
-    }();
-    tune::ScheduleConfig cfg =
-        tune::lookup_or_default(p, platform_->gpu, block, &db_);
+    tune::ScheduleConfig cfg = conv_schedule(graph_, id);
     // The IR lowering tiles along oc/ow; fall back to safe divisors if the
     // tuned tiles do not divide (remainder handling is a codegen TODO).
     auto fix_tile = [&](const char* knob, int64_t extent) {

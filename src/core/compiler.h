@@ -8,6 +8,10 @@
 //   igc::CompiledModel cm = igc::compile(std::move(model), platform, copts);
 //   igc::RunResult r = cm.run();
 //
+// Every run executes out of buffers planned once at compile() time: node
+// outputs live in a PagedArena sized from the model's memory plan (see
+// ServingContext for who owns it).
+//
 // This is the interface the Amazon SageMaker Neo-style service in the paper
 // exposes to application developers.
 #pragma once
@@ -94,18 +98,18 @@ struct CompileOptions {
 /// compile() prepared.
 enum class RunBackend { kAuto, kInterp, kJit };
 
-/// Private serving state for one worker thread: a memory plan plus a
-/// plan-backed PagedArena for one model at one shape binding. A run that
-/// passes a context through RunOptions::serving_context uses these buffers
-/// instead of the model-wide shared arena — and skips that arena's mutex —
-/// so a pool of workers can serve the same CompiledModel concurrently, each
-/// on its own context. The arena draws pages from a shared PagePool and
+/// The storage one run executes out of: the memory plan of one model at one
+/// shape binding plus a PagedArena sized from it. Every run uses one, owned
+/// by the caller (RunOptions::serving_context), by the model (use_arena), or
+/// by the call itself. A caller-owned context lets a pool of workers serve
+/// the same CompiledModel concurrently, each on its own context, without
+/// the model's mutex. Its arena draws pages from a shared PagePool and
 /// returns them between requests (cache_runs off), so contexts across
 /// workers and across tenant models recycle one physical page set instead
 /// of each holding a private full-size slab. The caller guarantees at most
 /// one run uses a given context at a time (a worker thread owning one
 /// context per tenant model satisfies this). Created by
-/// CompiledModel::make_serving_context().
+/// CompiledModel::make_serving_context(); it runs only on that model.
 class ServingContext {
  public:
   int64_t arena_bytes() const;
@@ -121,14 +125,15 @@ class ServingContext {
  private:
   friend class CompiledModel;
   ServingContext() = default;
-  graph::MemoryPlan plan_;
+  const graph::MemoryPlan* plan_ = nullptr;  // owned by the model
   std::unique_ptr<BufferArena> arena_;
   int64_t batch_ = 0;
   int64_t hw_ = 0;
 };
 
 /// Knobs for one inference call. Outputs are bit-identical across every
-/// combination of mode/use_arena/backend for a fixed input_seed.
+/// combination of mode/use_arena/serving_context/backend for a fixed
+/// input_seed.
 struct RunOptions {
   uint64_t input_seed = 0xbe5c;
   /// Off propagates shapes and synthetic detection data only (fast for
@@ -137,10 +142,12 @@ struct RunOptions {
   /// kWavefront dispatches independent nodes concurrently and reports the
   /// per-lane critical-path latency instead of the serial sum.
   graph::ExecMode mode = graph::ExecMode::kSequential;
-  /// Serve intermediate tensors from a persistent plan-backed arena owned by
-  /// the model: after the first run, repeated runs perform no intermediate
-  /// heap allocations (steady-state serving). Arena runs on one model are
-  /// serialized internally.
+  /// Which arena holds the intermediate tensors. On: the model's persistent
+  /// arena, whose private pool keeps page runs cached across calls, so
+  /// repeated runs perform no page traffic (steady-state serving); runs on
+  /// it serialize on the model. Off: a per-call arena over the binding's
+  /// compiled plan that borrows pages from page_pool() and returns them when
+  /// the call ends, so concurrent calls on one model do not serialize.
   bool use_arena = false;
   /// When set, the run starts a fresh trace on this recorder (model /
   /// platform / mode metadata) and records one span per executed node.
@@ -151,10 +158,10 @@ struct RunOptions {
   /// on a model compiled without a JIT module just runs the reference path
   /// (there is nothing compiled to dispatch to).
   RunBackend backend = RunBackend::kAuto;
-  /// When set, intermediate tensors come from this context's private arena
-  /// (use_arena is implied) and the run skips the model-wide arena mutex.
-  /// The context must come from this model's make_serving_context(); at
-  /// most one run may use it at a time (see ServingContext).
+  /// When set, intermediate tensors come from this context's arena
+  /// (use_arena is ignored) and the run skips the model's mutex. The context
+  /// must come from this model's make_serving_context(); at most one run may
+  /// use it at a time (see ServingContext).
   ServingContext* serving_context = nullptr;
   /// Dynamic shape binding: input batch (0 = the compiled seed batch) and
   /// input resolution (0 = the compiled seed resolution), validated against
@@ -166,29 +173,8 @@ struct RunOptions {
   int64_t input_hw = 0;
 };
 
-struct RunResult {
-  Tensor output;
-  double latency_ms = 0.0;
-  /// Both simulated time models, regardless of the mode run (see ExecResult).
-  double serial_ms = 0.0;
-  double critical_path_ms = 0.0;
-  double conv_ms = 0.0;
-  double vision_ms = 0.0;
-  double copy_ms = 0.0;
-  double fallback_ms = 0.0;
-  double other_ms = 0.0;
-  /// High-water mark of live intermediate bytes during the run.
-  int64_t peak_intermediate_bytes = 0;
-  /// Capacity of the serving arena (0 when use_arena is off).
-  int64_t arena_bytes = 0;
-  /// Physical page bytes the arena held when the run finished (0 when
-  /// use_arena is off, or when a serving context returned its pages to the
-  /// shared pool).
-  int64_t arena_page_bytes = 0;
-  /// Hardware counters merged over every charge of the run (occupancy,
-  /// achieved GFLOPS / GB/s, bound classification — see sim/timing_model.h).
-  sim::KernelCounters counters;
-};
+/// What run() returns: the executor's result (see graph::ExecResult).
+using RunResult = graph::ExecResult;
 
 class CompiledModel {
  public:
@@ -233,9 +219,10 @@ class CompiledModel {
   std::unique_ptr<ServingContext> make_serving_context(
       int64_t batch, int64_t input_hw, std::shared_ptr<PagePool> pool) const;
 
-  /// The page pool backing this model's serving contexts (created on first
-  /// use). The model-wide arena keeps a private pool: it caches its page
-  /// runs across runs, so sharing would never materialize.
+  /// The page pool backing this model's serving contexts and per-call arenas
+  /// (created on first use). The persistent use_arena context keeps a
+  /// private pool: it caches its page runs across runs, so sharing would
+  /// never materialize.
   std::shared_ptr<PagePool> page_pool() const;
 
   /// Table view of the optimized, placed graph (Graph::summary).
@@ -272,17 +259,15 @@ class CompiledModel {
     std::map<int, tune::ScheduleConfig> conv_schedules;
   };
 
-  /// Lazily built serving state shared by arena runs: the arena for
-  /// model-wide runs plus the mutex that serializes them (buffers would
-  /// alias otherwise), the shape-variant cache, and the model's page pool.
-  /// Held behind a pointer so the model stays movable.
+  /// Lazily built serving state: the persistent context use_arena runs share
+  /// plus the mutex that serializes them (buffers would alias otherwise),
+  /// the shape-variant cache, and the model's page pool. Held behind a
+  /// pointer so the model stays movable.
   struct ServingState {
     std::mutex mu;
-    std::unique_ptr<BufferArena> arena;
-    /// Binding the model-wide arena is currently sized for (guarded by mu).
-    std::pair<int64_t, int64_t> arena_binding{0, 0};
+    std::unique_ptr<ServingContext> context;  // guarded by mu
     /// Variant cache and pool, guarded by variants_mu (separate from mu so
-    /// serving-context runs never touch the model-wide arena lock).
+    /// other runs never touch the persistent context's lock).
     std::mutex variants_mu;
     std::map<std::pair<int64_t, int64_t>, std::unique_ptr<ShapeVariant>>
         variants;
@@ -292,6 +277,16 @@ class CompiledModel {
   /// Resolves (and caches) the variant for a non-seed binding; null when the
   /// binding is the seed shape. Throws igc::Error on out-of-bounds bindings.
   const ShapeVariant* resolve_variant(int64_t batch, int64_t input_hw) const;
+  /// Points `ctx` at the plan and shape of `variant` (null = the seed).
+  void bind_context(ServingContext& ctx, const ShapeVariant* variant) const;
+  /// A context bound to `variant` whose arena draws pages from `pool`.
+  std::unique_ptr<ServingContext> new_context(const ShapeVariant* variant,
+                                              std::shared_ptr<PagePool> pool,
+                                              bool cache_runs) const;
+  /// The schedule conv node `id` of `g` runs with: its tuned-database entry
+  /// at the graph tuner's layout block, or the hand-written template when
+  /// compiled with skip_tuning.
+  tune::ScheduleConfig conv_schedule(const graph::Graph& g, int id) const;
 
   std::string name_;
   graph::Graph graph_;

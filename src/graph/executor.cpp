@@ -26,14 +26,12 @@ namespace igc::graph {
 namespace {
 
 /// Tracks one node's runtime value: the tensor (always shape-correct),
-/// whether its contents are real numerics or placeholder data, and which
-/// allocation backs it (a planned arena buffer, accounted heap bytes, or an
-/// alias of its input).
+/// whether its contents are real numerics or placeholder data, and the
+/// planned arena buffer backing it.
 struct Value {
   Tensor tensor;
   bool materialized = false;
-  int arena_buffer = -1;   // arena buffer id backing this value, -1 if none
-  int64_t heap_bytes = 0;  // accounted heap bytes (0 for aliases and arena)
+  int arena_buffer = -1;  // arena buffer id backing this value, -1 if none
 };
 
 /// Everything one node's execution touches that must not be shared between
@@ -181,8 +179,7 @@ class ExecutorImpl {
     node_runs_.resize(n_nodes);
     compute_liveness();
     base_seed_ = input_rng_.next_u64();
-
-    if (opts_.use_arena) setup_arena();
+    setup_arena();
 
     // Reference counts for eager buffer release (the runtime analogue of the
     // memory planner): a node's tensor is dropped after its last consumer.
@@ -214,19 +211,16 @@ class ExecutorImpl {
   bool live(int id) const { return live_[static_cast<size_t>(id)]; }
 
   /// Arena invariants, checked up front so misuse fails with a clear
-  /// igc::Error instead of a deep assertion: use_arena takes the
-  /// caller-provided (arena, plan) pair together or not at all, and a
-  /// provided plan must have been computed from this graph.
+  /// igc::Error instead of a deep assertion: the caller-provided (arena,
+  /// plan) pair comes together or not at all, and a provided plan must have
+  /// been computed from this graph.
   void validate_options() const {
-    if (!opts_.use_arena) return;
     IGC_CHECK(!(opts_.arena != nullptr && opts_.plan == nullptr))
-        << "ExecOptions: use_arena with an arena but no plan — pass the "
-           "MemoryPlan the arena was sized from (or neither, for a private "
-           "per-run arena)";
+        << "ExecOptions: an arena but no plan — pass the MemoryPlan the "
+           "arena was sized from (or neither, for a private per-run arena)";
     IGC_CHECK(!(opts_.arena == nullptr && opts_.plan != nullptr))
-        << "ExecOptions: use_arena with a plan but no arena — pass the "
-           "BufferArena sized from the plan (or neither, for a private "
-           "per-run arena)";
+        << "ExecOptions: a plan but no arena — pass the BufferArena sized "
+           "from the plan (or neither, for a private per-run arena)";
     if (opts_.plan != nullptr) {
       IGC_CHECK_EQ(static_cast<int>(opts_.plan->buffer_of_node.size()),
                    g_.num_nodes())
@@ -243,10 +237,10 @@ class ExecutorImpl {
   // filters dead markers when a custom pipeline skipped compaction.
   void compute_liveness() { live_ = g_.live_mask(); }
 
+  /// Binds the caller's (arena, plan) pair, or plans memory for this run
+  /// and builds a private arena when none was passed.
   void setup_arena() {
     if (opts_.arena != nullptr) {
-      IGC_CHECK(opts_.plan != nullptr)
-          << "a caller-provided arena needs the plan it was sized from";
       plan_ = opts_.plan;
       arena_ = opts_.arena;
     } else {
@@ -255,10 +249,6 @@ class ExecutorImpl {
       local_arena_.emplace(local_plan_->buffer_bytes);
       arena_ = &*local_arena_;
     }
-    IGC_CHECK_EQ(static_cast<int>(plan_->buffer_of_node.size()), g_.num_nodes())
-        << "memory plan does not match this graph";
-    IGC_CHECK_EQ(arena_->num_buffers(),
-                 static_cast<int>(plan_->buffer_bytes.size()));
     IGC_CHECK_EQ(arena_->in_use_bytes(), 0)
         << "arena still holds buffers from a previous run";
     arena_->reset_peak();
@@ -276,15 +266,15 @@ class ExecutorImpl {
 
   void run_wavefront() {
     const size_t n_nodes = static_cast<size_t>(g_.num_nodes());
-    // Dependency edges: data inputs, plus anti-dependency edges when buffers
-    // are recycled — the next holder of a planned buffer must not start
-    // before the previous holder and all of its readers have finished.
+    // Dependency edges: data inputs, plus anti-dependency edges for recycled
+    // buffers — the next holder of a planned buffer must not start before
+    // the previous holder and all of its readers have finished.
     std::vector<std::set<int>> deps(n_nodes);
     for (const Node& n : g_.nodes()) {
       if (!live(n.id)) continue;
       for (int in : n.inputs) deps[static_cast<size_t>(n.id)].insert(in);
     }
-    if (arena_ != nullptr) add_anti_deps(deps);
+    add_anti_deps(deps);
 
     std::vector<int> indeg(n_nodes, 0);
     std::vector<std::vector<int>> succ(n_nodes);
@@ -339,25 +329,33 @@ class ExecutorImpl {
     reg.gauge("exec.ready_queue_peak").update_max(peak);
   }
 
-  /// Anti-dependency edges derived from the memory plan. The planner assigns
-  /// buffers walking nodes in id order and recycles a buffer only after the
-  /// previous holder's last consumer, so every edge points to a higher id
-  /// and the graph stays acyclic.
+  /// Anti-dependency edges derived from the memory plan's buffer holders
+  /// (execution order). The planner assigns buffers walking nodes in id
+  /// order and recycles a buffer only after the previous holder's last
+  /// consumer, so every edge points to a higher id and the graph stays
+  /// acyclic.
   void add_anti_deps(std::vector<std::set<int>>& deps) const {
     std::vector<std::vector<int>> consumers(
         static_cast<size_t>(g_.num_nodes()));
-    std::map<int, std::vector<int>> holders;  // buffer id -> node ids, ordered
     for (const Node& n : g_.nodes()) {
       if (!live(n.id)) continue;
       for (int in : n.inputs) consumers[static_cast<size_t>(in)].push_back(n.id);
-      const int buf = plan_->buffer_of_node[static_cast<size_t>(n.id)];
-      IGC_CHECK_GE(buf, 0) << "live node " << n.name << " has no planned buffer";
-      holders[buf].push_back(n.id);
     }
-    for (const auto& [buf, hs] : holders) {
+    // A caller-built plan whose holder lists disagree with buffer_of_node
+    // would index out of range or wait on a node that never runs.
+    auto holds = [&](int id, size_t buf) {
+      return id >= 0 && id < g_.num_nodes() && live(id) &&
+             plan_->buffer_of_node[static_cast<size_t>(id)] ==
+                 static_cast<int>(buf);
+    };
+    for (size_t buf = 0; buf < plan_->buffer_holders.size(); ++buf) {
+      const std::vector<int>& hs = plan_->buffer_holders[buf];
       for (size_t i = 0; i + 1 < hs.size(); ++i) {
         const int prev = hs[i];
         const int next = hs[i + 1];
+        IGC_CHECK(holds(prev, buf) && holds(next, buf))
+            << "memory plan's holders of buffer " << buf
+            << " disagree with buffer_of_node";
         deps[static_cast<size_t>(next)].insert(prev);
         for (int c : consumers[static_cast<size_t>(prev)]) {
           IGC_CHECK_LT(c, next) << "memory plan reuses buffer " << buf
@@ -394,41 +392,28 @@ class ExecutorImpl {
         .count();
   }
 
-  /// Post-execution bookkeeping for one node: peak-memory accounting and
-  /// eager release of inputs whose last consumer just ran. Called inline in
-  /// sequential dispatch and under sched_mu_ in wavefront dispatch; releases
-  /// happen before successors are spawned, which is what makes the
-  /// anti-dependency edges sufficient for safe concurrent buffer reuse.
+  /// Post-execution bookkeeping for one node: eager release of inputs whose
+  /// last consumer just ran. Called inline in sequential dispatch and under
+  /// sched_mu_ in wavefront dispatch; releases happen before successors are
+  /// spawned, which is what makes the anti-dependency edges sufficient for
+  /// safe concurrent buffer reuse.
   void on_node_done(const Node& n) {
-    heap_in_use_ += val(n.id).heap_bytes;
-    const int64_t arena_now = arena_ != nullptr ? arena_->in_use_bytes() : 0;
-    peak_bytes_ = std::max(peak_bytes_, heap_in_use_ + arena_now);
     for (int in : n.inputs) {
       if (--pending_[static_cast<size_t>(in)] == 0 && in != g_.output()) {
-        release_value(in);
+        release_value(val(in));
       }
     }
   }
 
-  void release_value(int id) {
-    Value& v = val(id);
+  void release_value(Value& v) {
+    if (v.arena_buffer < 0) return;
     v.tensor = Tensor();
-    heap_in_use_ -= v.heap_bytes;
-    v.heap_bytes = 0;
-    if (v.arena_buffer >= 0) {
-      arena_->release(v.arena_buffer);
-      v.arena_buffer = -1;
-    }
+    arena_->release(v.arena_buffer);
+    v.arena_buffer = -1;
   }
 
   void release_all_arena() {
-    if (arena_ == nullptr) return;
-    for (Value& v : values_) {
-      if (v.arena_buffer < 0) continue;
-      v.tensor = Tensor();
-      arena_->release(v.arena_buffer);
-      v.arena_buffer = -1;
-    }
+    for (Value& v : values_) release_value(v);
   }
 
   ExecResult finalize() {
@@ -470,18 +455,13 @@ class ExecutorImpl {
                             ? result.critical_path_ms
                             : result.serial_ms;
 
-    Value& out = val(g_.output());
-    // An arena-backed output must escape the run by copy: its slab is
-    // recycled by the next run over the same arena.
-    result.output = out.arena_buffer >= 0 ? out.tensor.clone() : out.tensor;
+    // The output escapes the run by copy: its buffer is recycled by the next
+    // run over the same arena.
+    result.output = val(g_.output()).tensor.clone();
     release_all_arena();
-    result.peak_intermediate_bytes = peak_bytes_;
-    if (arena_ != nullptr) {
-      result.peak_intermediate_bytes =
-          std::max(peak_bytes_, arena_->peak_in_use_bytes());
-      result.arena_bytes = arena_->capacity_bytes();
-      result.arena_page_bytes = arena_->page_bytes_held();
-    }
+    result.peak_intermediate_bytes = arena_->peak_in_use_bytes();
+    result.arena_bytes = arena_->capacity_bytes();
+    result.arena_page_bytes = arena_->page_bytes_held();
     return result;
   }
 
@@ -609,62 +589,44 @@ class ExecutorImpl {
   }
 
   /// Stores a shape-only placeholder output. Placeholder contents are never
-  /// read by any operator, so arena slabs stay uninitialized — except for
-  /// the graph output, which escapes to the caller and must match the
-  /// non-arena executor's zeros bit for bit.
+  /// read by any operator, so buffers stay uninitialized — except for the
+  /// graph output, which escapes to the caller as zeros.
   void set_placeholder(const Node& n) {
     Value& v = val(n.id);
-    if (arena_ != nullptr) {
-      v.tensor = arena_acquire(n, n.out_shape, DType::kFloat32,
-                               /*zero_fill=*/n.id == g_.output());
-    } else {
-      v.tensor = Tensor::zeros(n.out_shape);
-      v.heap_bytes = v.tensor.nbytes();
-    }
+    v.tensor = arena_acquire(n, n.out_shape, DType::kFloat32,
+                             /*zero_fill=*/n.id == g_.output());
     v.materialized = false;
   }
 
-  /// Stores a computed output, copying it into the node's planned arena
-  /// buffer when one is in use so the result's lifetime is plan-managed.
-  void set_computed(const Node& n, Tensor t) {
+  /// Stores a computed output, copying it into the node's planned buffer so
+  /// the result's lifetime is plan-managed.
+  void set_computed(const Node& n, const Tensor& t) {
     Value& v = val(n.id);
-    if (arena_ != nullptr) {
-      Tensor dst = arena_acquire(n, t.shape(), t.dtype(), /*zero_fill=*/false);
-      std::memcpy(dst.raw_data(), t.raw_data(),
-                  static_cast<size_t>(t.nbytes()));
-      v.tensor = std::move(dst);
-    } else {
-      v.heap_bytes = t.nbytes();
-      v.tensor = std::move(t);
-    }
+    v.tensor = arena_acquire(n, t.shape(), t.dtype(), /*zero_fill=*/false);
+    std::memcpy(v.tensor.raw_data(), t.raw_data(),
+                static_cast<size_t>(t.nbytes()));
     v.materialized = true;
   }
 
-  /// Flatten and DeviceCopy alias their input when values live on the heap.
-  /// Under the arena they alias too — acquire_shared() refcounts the source
-  /// buffer's pages, and a later acquirer of those pages sees the outstanding
-  /// reference and takes fresh ones (copy-on-reacquire), so the alias stays
-  /// valid even after the source buffer is recycled.
+  /// Flatten and DeviceCopy alias their input: acquire_shared() refcounts
+  /// the source buffer's pages, and a later acquirer of those pages sees the
+  /// outstanding reference and takes fresh ones (copy-on-reacquire), so the
+  /// alias stays valid even after the source buffer is recycled.
   void set_aliased(const Node& n) {
     Value& v = val(n.id);
     const Value& src = val(n.inputs[0]);
-    if (arena_ != nullptr) {
+    if (src.materialized) {
       const int buf = plan_->buffer_of_node[static_cast<size_t>(n.id)];
       IGC_CHECK_GE(buf, 0) << "live node " << n.name
                            << " has no planned buffer";
-      if (src.materialized && src.arena_buffer >= 0) {
-        v.tensor = arena_->acquire_shared(buf, src.arena_buffer, n.out_shape,
-                                          src.tensor.dtype());
-        v.arena_buffer = buf;
-      } else {
-        // Unmaterialized placeholders carry no data worth sharing; zero-fill
-        // only when the value escapes as the graph output (matching the
-        // sequential executor, whose alias of a zeroed placeholder is zeros).
-        const bool zero = !src.materialized && n.id == g_.output();
-        v.tensor = arena_acquire(n, n.out_shape, src.tensor.dtype(), zero);
-      }
+      v.tensor = arena_->acquire_shared(buf, src.arena_buffer, n.out_shape,
+                                        src.tensor.dtype());
+      v.arena_buffer = buf;
     } else {
-      v.tensor = src.tensor.reshape(n.out_shape);
+      // Unmaterialized placeholders carry no data worth sharing; zero-fill
+      // only when the value escapes as the graph output.
+      v.tensor = arena_acquire(n, n.out_shape, src.tensor.dtype(),
+                               /*zero_fill=*/n.id == g_.output());
     }
     v.materialized = src.materialized;
   }
@@ -730,36 +692,22 @@ class ExecutorImpl {
     switch (n.kind) {
       case OpKind::kInput: {
         Value& v = val(n.id);
-        if (arena_ != nullptr) {
-          Tensor t = arena_acquire(n, n.out_shape, DType::kFloat32,
-                                   /*zero_fill=*/false);
-          for (float& x : t.span_f32()) x = cx.rng.next_float(0.0f, 1.0f);
-          v.tensor = std::move(t);
-        } else {
-          v.tensor =
-              Tensor::random_uniform(n.out_shape, cx.rng, 0.0f, 1.0f);
-          v.heap_bytes = v.tensor.nbytes();
-        }
+        v.tensor = arena_acquire(n, n.out_shape, DType::kFloat32,
+                                 /*zero_fill=*/false);
+        for (float& x : v.tensor.span_f32()) x = cx.rng.next_float(0.0f, 1.0f);
         v.materialized = true;
         layout_block_[static_cast<size_t>(n.id)] = 1;
         return;
       }
       case OpKind::kConstant: {
         // Pre-computed at compile time and resident like a weight in unified
-        // memory: charges no kernel and no clock time. Outside the arena the
-        // value aliases the graph's tensor (heap_bytes stays 0 — it is not a
-        // per-run allocation); with an arena it copies into the planned slab
-        // so downstream buffer reuse stays plan-managed.
+        // memory: charges no kernel and no clock time. The value copies into
+        // its planned buffer so downstream buffer reuse stays plan-managed.
         Value& v = val(n.id);
-        if (arena_ != nullptr) {
-          Tensor t = arena_acquire(n, n.out_shape, n.weight.dtype(),
-                                   /*zero_fill=*/false);
-          std::memcpy(t.raw_data(), n.weight.raw_data(),
-                      static_cast<size_t>(n.weight.nbytes()));
-          v.tensor = std::move(t);
-        } else {
-          v.tensor = n.weight;
-        }
+        v.tensor = arena_acquire(n, n.out_shape, n.weight.dtype(),
+                                 /*zero_fill=*/false);
+        std::memcpy(v.tensor.raw_data(), n.weight.raw_data(),
+                    static_cast<size_t>(n.weight.nbytes()));
         v.materialized = true;
         layout_block_[static_cast<size_t>(n.id)] = 1;
         return;
@@ -863,7 +811,7 @@ class ExecutorImpl {
       }
       case OpKind::kFlatten: {
         charge_layout_edges(cx, n, 1);
-        set_aliased(n);  // a view on the heap; a copy under the arena
+        set_aliased(n);
         layout_block_[static_cast<size_t>(n.id)] = 1;
         return;
       }
@@ -913,10 +861,8 @@ class ExecutorImpl {
       }
       case OpKind::kDetectionConcat: {
         charge_elementwise(cx, n, n.out_shape.numel(), 1, 0);
-        Tensor out = arena_ != nullptr
-                         ? arena_acquire(n, n.out_shape, DType::kFloat32,
-                                         /*zero_fill=*/false)
-                         : Tensor(n.out_shape, DType::kFloat32);
+        Tensor out = arena_acquire(n, n.out_shape, DType::kFloat32,
+                                   /*zero_fill=*/false);
         int64_t off = 0;
         const int64_t bsz = n.out_shape[0];
         const int64_t total = n.out_shape[1];
@@ -933,7 +879,6 @@ class ExecutorImpl {
           off += ni;
         }
         Value& v = val(n.id);
-        if (arena_ == nullptr) v.heap_bytes = out.nbytes();
         v.tensor = std::move(out);
         v.materialized = true;
         return;
@@ -980,11 +925,11 @@ class ExecutorImpl {
   }
 
   /// Computes node `n` through its compiled host kernel when the run carries
-  /// a dispatch table covering it. Writes straight into the node's output
-  /// buffer (arena slab or fresh heap tensor — no set_computed copy) and
-  /// splits the kernel's flattened grid over the data-parallel pool; disjoint
-  /// blocks write disjoint outputs, so the partition is race-free and the
-  /// result is bit-identical to the reference path regardless of chunking.
+  /// a dispatch table covering it. Writes straight into the node's planned
+  /// buffer (no set_computed copy) and splits the kernel's flattened grid
+  /// over the data-parallel pool; disjoint blocks write disjoint outputs, so
+  /// the partition is race-free and the result is bit-identical to the
+  /// reference path regardless of chunking.
   /// Returns false when the node is not covered (caller runs the reference).
   bool try_jit(const Node& n) {
     if (opts_.jit == nullptr) return false;
@@ -993,10 +938,8 @@ class ExecutorImpl {
     static auto& dispatches =
         obs::MetricsRegistry::global().counter("jit.dispatches");
 
-    Tensor out = arena_ != nullptr
-                     ? arena_acquire(n, n.out_shape, DType::kFloat32,
-                                     /*zero_fill=*/false)
-                     : Tensor(n.out_shape, DType::kFloat32);
+    Tensor out =
+        arena_acquire(n, n.out_shape, DType::kFloat32, /*zero_fill=*/false);
     WorkerScratch& scratch = worker_scratch();
     scratch.args.clear();
     for (codegen::jit::ArgKind kind : k->args) {
@@ -1019,7 +962,6 @@ class ExecutorImpl {
     dispatches.add(1);
 
     Value& v = val(n.id);
-    if (arena_ == nullptr) v.heap_bytes = out.nbytes();
     v.tensor = std::move(out);
     v.materialized = true;
     return true;
@@ -1327,17 +1269,16 @@ class ExecutorImpl {
   std::vector<int> pending_;
   std::vector<NodeRun> node_runs_;
 
-  // Arena state (null when opts_.use_arena is off).
+  // The run's storage: the caller's (plan, arena) pair, or the private one
+  // setup_arena() builds when the caller passed none.
   std::optional<MemoryPlan> local_plan_;
   std::optional<BufferArena> local_arena_;
   const MemoryPlan* plan_ = nullptr;
   BufferArena* arena_ = nullptr;
 
-  // Guards pending_/indegree bookkeeping, value release, and peak-memory
-  // accounting under wavefront dispatch.
+  // Guards pending_/indegree bookkeeping and value release under wavefront
+  // dispatch.
   std::mutex sched_mu_;
-  int64_t heap_in_use_ = 0;
-  int64_t peak_bytes_ = 0;
 
   /// Host wall-clock reference for trace dispatch times (traced runs only).
   std::chrono::steady_clock::time_point run_epoch_{};

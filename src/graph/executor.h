@@ -17,8 +17,9 @@
 // data from a private Rng seeded from (input seed, node name), so numerics
 // never depend on dispatch order or on which nodes run concurrently.
 //
-// Intermediate tensors can come from a plan-backed BufferArena (see
-// src/tensor/arena.h) sized by plan_memory(): buffers are recycled across
+// Every node output lives in a plan-backed BufferArena (see
+// src/tensor/arena.h): each node acquires the buffer its MemoryPlan assigns
+// and releases it after its last consumer, so buffers are recycled across
 // nodes within a run and, when the caller keeps the arena (CompiledModel
 // does), across repeated runs — steady-state serving then performs no
 // intermediate heap allocations for node outputs. Under wavefront dispatch,
@@ -73,14 +74,10 @@ struct ExecOptions {
 
   /// Dispatch mode (see file comment). Outputs are identical either way.
   ExecMode mode = ExecMode::kSequential;
-  /// Back node outputs with a plan_memory()-sized buffer arena instead of
-  /// fresh heap tensors. When `arena` is null a private arena is built for
-  /// the run; pass a persistent arena (plus its plan) to reuse buffers
-  /// across runs.
-  bool use_arena = false;
-  /// Persistent arena and the memory plan it was sized from. Both or
-  /// neither (validated at execute() entry); ignored unless use_arena.
-  /// Concurrent runs must not share one.
+  /// The arena node outputs live in and the memory plan it was sized from.
+  /// Both or neither (validated at execute() entry): with neither, the run
+  /// plans memory itself and builds a private arena; pass a persistent pair
+  /// to reuse buffers across runs. Concurrent runs must not share one.
   BufferArena* arena = nullptr;
   const MemoryPlan* plan = nullptr;
 
@@ -123,14 +120,13 @@ struct ExecResult {
   double copy_ms = 0.0;
   double fallback_ms = 0.0;
   double other_ms = 0.0;
-  /// High-water mark of live node-output bytes (arena + heap) during the
-  /// run. With an arena this is bounded by MemoryPlan::total_bytes().
+  /// High-water mark of the arena's acquired planned-buffer bytes during the
+  /// run; bounded by MemoryPlan::total_bytes().
   int64_t peak_intermediate_bytes = 0;
-  /// Capacity of the arena used (0 when use_arena is off).
+  /// Capacity of the arena used (the plan's total bytes).
   int64_t arena_bytes = 0;
-  /// Physical page bytes the arena still held when the run finished (0 when
-  /// use_arena is off; 0 for serving contexts that return pages to the shared
-  /// pool on release).
+  /// Physical page bytes the arena still held when the run finished (0 for
+  /// arenas that return pages to a shared pool on release).
   int64_t arena_page_bytes = 0;
   std::vector<sim::ClockEvent> events;
   /// Hardware counters merged over every charge of the run (so counters.ms

@@ -91,12 +91,7 @@ void ServingEngine::start() {
   if (started_) return;
   if (tenants_.empty()) throw Error("ServingEngine: start() with no tenants");
   if (opts_.page_pool == nullptr) {
-    for (const TenantSpec& t : tenants_) {
-      if (t.run.use_arena) {
-        opts_.page_pool = std::make_shared<PagePool>();
-        break;
-      }
-    }
+    opts_.page_pool = std::make_shared<PagePool>();
   }
   RequestQueue::Options qopts = opts_.queue;
   qopts.num_tenants = static_cast<int>(tenants_.size());
@@ -309,13 +304,6 @@ void ServingEngine::execute_batch(
   const TenantSpec& tenant = tenants_[static_cast<size_t>(batch.tenant)];
   TenantInstruments& ti = tenant_metrics_[static_cast<size_t>(batch.tenant)];
   auto& ctx = contexts[static_cast<size_t>(batch.tenant)];
-  if (ctx == nullptr && tenant.run.use_arena) {
-    // Page table is private to this worker; the physical pages behind it
-    // come from the engine-wide pool and are returned after every request,
-    // so workers and tenants time-share one page set.
-    ctx = tenant.model->make_serving_context(
-        tenant.run.batch, tenant.run.input_hw, opts_.page_pool);
-  }
   // The ShapeVariant binding every request in this batch runs with.
   const std::string binding =
       tenant.run.batch == 0 && tenant.run.input_hw == 0
@@ -339,10 +327,18 @@ void ServingEngine::execute_batch(
       e.batch_size = batch.size();
       req->timeline->add(std::move(e));
     }
-    RunOptions ropts = tenant.run;
-    ropts.input_seed = req->input_seed;
-    ropts.serving_context = ctx.get();
     try {
+      if (ctx == nullptr) {
+        // Page table is private to this worker; the physical pages behind it
+        // come from the engine-wide pool and are returned after every
+        // request, so workers and tenants time-share one page set. Built
+        // here so a binding the model cannot serve fails the request.
+        ctx = tenant.model->make_serving_context(
+            tenant.run.batch, tenant.run.input_hw, opts_.page_pool);
+      }
+      RunOptions ropts = tenant.run;
+      ropts.input_seed = req->input_seed;
+      ropts.serving_context = ctx.get();
       const RunResult r = tenant.model->run(ropts);
       outcome.sim_latency_ms = r.latency_ms;
       if (req->timeline != nullptr) {

@@ -59,9 +59,9 @@
 namespace igc::serve {
 
 /// One model a tenant serves, plus the run template its requests execute
-/// with. The engine overrides input_seed per request and routes arena usage
-/// through a per-worker ServingContext; the rest of `run` (mode, numerics,
-/// backend) is honored as given.
+/// with. The engine overrides input_seed per request and runs every request
+/// on a per-worker ServingContext (so use_arena has no effect); the rest of
+/// `run` (mode, numerics, backend, shape binding) is honored as given.
 struct TenantSpec {
   std::string name;
   const CompiledModel* model = nullptr;
@@ -102,10 +102,9 @@ struct EngineOptions {
   };
   TraceOptions trace;
   /// Shared physical page pool for every worker's serving contexts. Null
-  /// (the default) lets start() create an unbounded pool when any tenant
-  /// runs with an arena; pass one explicitly to cap memory (PagePool::
-  /// Options::max_bytes) or to share pages with contexts outside the
-  /// engine.
+  /// (the default) lets start() create an unbounded pool; pass one
+  /// explicitly to cap memory (PagePool::Options::max_bytes) or to share
+  /// pages with contexts outside the engine.
   std::shared_ptr<PagePool> page_pool;
 };
 
@@ -161,8 +160,7 @@ class ServingEngine {
   bool running() const { return running_.load(std::memory_order_acquire); }
 
   /// The engine-wide physical page pool every worker context draws from.
-  /// Null before start() unless one was passed in EngineOptions; null after
-  /// start() only when no tenant runs with an arena.
+  /// Null before start() unless one was passed in EngineOptions.
   const std::shared_ptr<PagePool>& page_pool() const {
     return opts_.page_pool;
   }

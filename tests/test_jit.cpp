@@ -1,8 +1,8 @@
 // Tests for the host JIT backend: the artifact cache (hit/miss accounting,
 // concurrent compiles, corruption recovery, version invalidation) and the
 // end-to-end guarantee that JIT and reference numerics are bit-identical
-// across the model zoo, both dispatch modes, and arena on/off — with
-// simulated latencies untouched.
+// across the model zoo and both dispatch modes — with simulated latencies
+// untouched.
 //
 // Every test that needs the host toolchain skips cleanly when none exists.
 #include <gtest/gtest.h>
@@ -269,25 +269,21 @@ void expect_bit_identical(const CompiledModel& cm) {
 
   for (graph::ExecMode mode :
        {graph::ExecMode::kSequential, graph::ExecMode::kWavefront}) {
-    for (bool arena : {false, true}) {
-      RunOptions jit;
-      jit.backend = RunBackend::kJit;
-      jit.mode = mode;
-      jit.use_arena = arena;
-      const RunResult r = cm.run(jit);
-      const RunResult& ref =
-          mode == graph::ExecMode::kSequential ? ref_seq : ref_wave;
-      EXPECT_EQ(r.output.max_abs_diff(ref_seq.output), 0.0f)
-          << cm.model_name() << " mode=" << static_cast<int>(mode)
-          << " arena=" << arena;
-      // Simulated time is computed from charges, never from host numerics:
-      // the JIT must not move it by a single bit.
-      EXPECT_EQ(r.latency_ms, ref.latency_ms);
-      EXPECT_EQ(r.serial_ms, ref.serial_ms);
-      EXPECT_EQ(r.critical_path_ms, ref.critical_path_ms);
-      EXPECT_EQ(r.counters.flops, ref.counters.flops);
-      EXPECT_EQ(r.counters.dram_bytes, ref.counters.dram_bytes);
-    }
+    RunOptions jit;
+    jit.backend = RunBackend::kJit;
+    jit.mode = mode;
+    const RunResult r = cm.run(jit);
+    const RunResult& ref =
+        mode == graph::ExecMode::kSequential ? ref_seq : ref_wave;
+    EXPECT_EQ(r.output.max_abs_diff(ref_seq.output), 0.0f)
+        << cm.model_name() << " mode=" << static_cast<int>(mode);
+    // Simulated time is computed from charges, never from host numerics:
+    // the JIT must not move it by a single bit.
+    EXPECT_EQ(r.latency_ms, ref.latency_ms);
+    EXPECT_EQ(r.serial_ms, ref.serial_ms);
+    EXPECT_EQ(r.critical_path_ms, ref.critical_path_ms);
+    EXPECT_EQ(r.counters.flops, ref.counters.flops);
+    EXPECT_EQ(r.counters.dram_bytes, ref.counters.dram_bytes);
   }
 }
 

@@ -192,7 +192,6 @@ TEST(Trace, TracedRunsAreBitIdenticalToUntraced) {
     RunOptions ropts;
     ropts.input_seed = 0x717;
     ropts.mode = mode;
-    ropts.use_arena = mode == graph::ExecMode::kWavefront;
     const RunResult plain = cm.run(ropts);
 
     obs::TraceRecorder rec;
@@ -530,7 +529,6 @@ TEST(Executor, ArenaOptionInvariantsAreValidatedUpFront) {
 
   graph::ExecOptions opts;
   opts.compute_numerics = false;
-  opts.use_arena = true;
 
   // Arena without its plan.
   opts.arena = &arena1;
@@ -554,6 +552,21 @@ TEST(Executor, ArenaOptionInvariantsAreValidatedUpFront) {
   opts.arena = &bad_arena;
   opts.plan = &plan1;
   { Rng r(1); EXPECT_THROW(graph::execute(m1.graph, plat, opts, r), Error); }
+
+  // Holder lists that disagree with buffer_of_node: wavefront dispatch
+  // derives its anti-dependency edges from them.
+  graph::MemoryPlan bad_holders = plan1;
+  for (std::vector<int>& hs : bad_holders.buffer_holders) {
+    if (hs.size() > 1) {
+      hs[1] = m1.graph.num_nodes();
+      break;
+    }
+  }
+  opts.arena = &arena1;
+  opts.plan = &bad_holders;
+  opts.mode = graph::ExecMode::kWavefront;
+  { Rng r(1); EXPECT_THROW(graph::execute(m1.graph, plat, opts, r), Error); }
+  opts.mode = graph::ExecMode::kSequential;
 
   // The matched pair still works.
   opts.arena = &arena1;

@@ -7,8 +7,9 @@
 //   * cross-context page sharing — serving contexts over one shared pool
 //     recycle a single physical page set (peak < 2x single-context peak),
 //     including across mixed-resolution tenants;
-//   * concurrent serving contexts — page-table isolation under a real
-//     thread pool (run with TSan via the "concurrency" ctest label);
+//   * concurrent serving contexts and per-call arenas — page-table isolation
+//     under a real thread pool (run with TSan via the "concurrency" ctest
+//     label);
 //   * dynamic shapes — one CompiledModel serves batch {1,2,4} x resolution
 //     {224,300,416} with zero replanning/retuning, bit-identical in outputs
 //     and simulated latencies to models statically compiled at each shape.
@@ -388,6 +389,40 @@ TEST(PagedArenaConcurrency, ConcurrentServingContextsStayIsolated) {
   EXPECT_EQ(pool->bytes_in_use(), 0);
 }
 
+TEST(PagedArenaConcurrency, ConcurrentPerCallArenasOnOneModelStayIsolated) {
+  // use_arena off: every call builds its own arena over the compiled plan
+  // and borrows pages from the model's pool, so concurrent calls on one
+  // model neither serialize nor see each other's buffers.
+  Rng rng(0x5eed);
+  const CompiledModel cm = compile_fast(models::build_squeezenet(rng, 32));
+
+  constexpr int kSeeds = 3;
+  Tensor refs[kSeeds];
+  for (int s = 0; s < kSeeds; ++s) {
+    refs[s] = cm.run(0x100 + static_cast<uint64_t>(s)).output;
+  }
+
+  constexpr int kThreads = 4;
+  constexpr int kReps = 3;
+  std::vector<std::thread> threads;
+  std::vector<int> mismatches(kThreads, 0);
+  for (int w = 0; w < kThreads; ++w) {
+    threads.emplace_back([&, w] {
+      for (int rep = 0; rep < kReps; ++rep) {
+        for (int s = 0; s < kSeeds; ++s) {
+          const RunResult r = cm.run(0x100 + static_cast<uint64_t>(s));
+          if (r.output.max_abs_diff(refs[s]) != 0.0f) ++mismatches[w];
+        }
+      }
+    });
+  }
+  for (std::thread& t : threads) t.join();
+  for (int w = 0; w < kThreads; ++w) {
+    EXPECT_EQ(mismatches[w], 0) << "worker " << w;
+  }
+  EXPECT_EQ(cm.page_pool()->bytes_in_use(), 0);
+}
+
 // ----- dynamic shapes -------------------------------------------------------
 
 TEST(DynamicShapes, BindingsAreValidatedAgainstTheDeclaredSpec) {
@@ -433,7 +468,7 @@ TEST(DynamicShapes, NumericsAreBitIdenticalToStaticCompilesAtEachShape) {
       EXPECT_DOUBLE_EQ(got.latency_ms, want.latency_ms) << what;
       EXPECT_DOUBLE_EQ(got.serial_ms, want.serial_ms) << what;
 
-      // Arena-backed dynamic runs match too (the model-wide arena rebinds).
+      // Persistent-arena dynamic runs match too (its arena rebinds).
       RunOptions aopts = ropts;
       aopts.use_arena = true;
       const RunResult arena = dyn.run(batch, hw, aopts);

@@ -209,24 +209,19 @@ TEST(Passes, CompactionPreservesOutputsAcrossModels) {
         });
     for (const graph::ExecMode mode :
          {graph::ExecMode::kSequential, graph::ExecMode::kWavefront}) {
-      for (const bool arena : {false, true}) {
-        RunOptions ropts;
-        ropts.input_seed = 0x515;
-        ropts.compute_numerics = c.numerics;
-        ropts.mode = mode;
-        ropts.use_arena = arena;
-        const RunResult a = with_dce.run(ropts);
-        const RunResult b = without_dce.run(ropts);
-        const std::string what =
-            with_dce.model_name() +
-            (mode == graph::ExecMode::kWavefront ? " wavefront"
-                                                 : " sequential") +
-            (arena ? "+arena" : "");
-        ASSERT_TRUE(a.output.shape() == b.output.shape()) << what;
-        EXPECT_EQ(a.output.max_abs_diff(b.output), 0.0f) << what;
-        EXPECT_DOUBLE_EQ(a.serial_ms, b.serial_ms) << what;
-        EXPECT_DOUBLE_EQ(a.critical_path_ms, b.critical_path_ms) << what;
-      }
+      RunOptions ropts;
+      ropts.input_seed = 0x515;
+      ropts.compute_numerics = c.numerics;
+      ropts.mode = mode;
+      const RunResult a = with_dce.run(ropts);
+      const RunResult b = without_dce.run(ropts);
+      const std::string what =
+          with_dce.model_name() +
+          (mode == graph::ExecMode::kWavefront ? " wavefront" : " sequential");
+      ASSERT_TRUE(a.output.shape() == b.output.shape()) << what;
+      EXPECT_EQ(a.output.max_abs_diff(b.output), 0.0f) << what;
+      EXPECT_DOUBLE_EQ(a.serial_ms, b.serial_ms) << what;
+      EXPECT_DOUBLE_EQ(a.critical_path_ms, b.critical_path_ms) << what;
     }
     // The compacted plan never leaves an unplanned slot.
     const graph::MemoryPlan plan = with_dce.memory_plan();

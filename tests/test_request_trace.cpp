@@ -379,7 +379,6 @@ TEST(RequestTrace, FailedRequestsAreAlwaysRetainedWithTheError) {
   // A shape binding the model was not compiled for: run() throws in the
   // worker and the request's future carries the error.
   serve::TenantSpec bad = tenant_of("bad", cm);
-  bad.run.use_arena = false;
   bad.run.batch = 99;
   const int t0 = engine.add_tenant(bad);
   engine.start();

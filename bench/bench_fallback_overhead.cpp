@@ -29,12 +29,9 @@ int main() {
       cpu_ops = {graph::OpKind::kSsdDetection, graph::OpKind::kBoxNms};
     }
     const graph::PassStats stats = graph::optimize(m.graph, cpu_ops);
-    const auto layouts =
-        graphtune::tune_graph_layouts(m.graph, platform.gpu, db, topts);
+    graphtune::tune_graph_layouts(m.graph, platform.gpu, db, topts);
     graph::ExecOptions opts;
     opts.compute_numerics = false;
-    opts.db = &db;
-    opts.conv_layout_block = layouts.layout_of_conv;
     Rng in_rng(0xbe5c);
     const auto r = graph::execute(m.graph, platform, opts, in_rng);
     std::printf(

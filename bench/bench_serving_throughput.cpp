@@ -537,7 +537,7 @@ int main(int argc, char** argv) {
     // small and let the JIT amortize over more iterations.
     const BackendRow kBackends[] = {
         {"interp", RunBackend::kInterp, 3},
-        {"jit", RunBackend::kJit, 15},
+        {"jit", RunBackend::kAuto, 15},  // the module compile() built
     };
     Tensor interp_out;
     double interp_host_ms = 0.0, interp_sim_ms = 0.0;

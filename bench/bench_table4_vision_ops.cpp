@@ -65,13 +65,10 @@ int main() {
       graph::optimize(m.graph);
       tune::TuneOptions topts;
       topts.n_trials = 96;
-      const auto layouts =
-          graphtune::tune_graph_layouts(m.graph, platform.gpu, db, topts);
+      graphtune::tune_graph_layouts(m.graph, platform.gpu, db, topts);
 
       graph::ExecOptions opts;
       opts.compute_numerics = false;
-      opts.db = &db;
-      opts.conv_layout_block = layouts.layout_of_conv;
 
       opts.optimized_vision_ops = false;
       Rng r1(0xbe5c);

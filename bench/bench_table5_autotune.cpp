@@ -64,25 +64,20 @@ int main() {
     tune::TuneDb db;
     for (auto& m : cls) {
       graph::optimize(m.graph);
+      // A copy taken before tuning carries no schedules: every conv runs
+      // the untuned template defaults in NCHW.
+      const graph::Graph untuned = m.graph;
       tune::TuneOptions topts;
       topts.n_trials = 96;
-      const auto layouts =
-          graphtune::tune_graph_layouts(m.graph, platform.gpu, db, topts);
+      graphtune::tune_graph_layouts(m.graph, platform.gpu, db, topts);
 
-      graph::ExecOptions before_opts;
-      before_opts.compute_numerics = false;
-      before_opts.use_tuned_configs = false;  // untuned template defaults
+      graph::ExecOptions opts;
+      opts.compute_numerics = false;
       Rng r1(0xbe5c);
       const double before =
-          graph::execute(m.graph, platform, before_opts, r1).latency_ms;
-
-      graph::ExecOptions after_opts;
-      after_opts.compute_numerics = false;
-      after_opts.db = &db;
-      after_opts.conv_layout_block = layouts.layout_of_conv;
+          graph::execute(untuned, platform, opts, r1).latency_ms;
       Rng r2(0xbe5c);
-      const double after =
-          graph::execute(m.graph, platform, after_opts, r2).latency_ms;
+      const double after = graph::execute(m.graph, platform, opts, r2).latency_ms;
 
       const PaperRow& p = kPaper[row_idx++];
       std::printf("%-20s %-16s | %10.2f %10.2f %8.2f || %10.2f %10.2f %8.2f\n",

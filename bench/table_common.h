@@ -43,12 +43,9 @@ inline double run_ours(models::Model& model, const sim::Platform& platform,
   graph::optimize(model.graph);
   tune::TuneOptions topts;
   topts.n_trials = tune_trials;
-  const graphtune::GraphTuneResult layouts =
-      graphtune::tune_graph_layouts(model.graph, platform.gpu, db, topts);
+  graphtune::tune_graph_layouts(model.graph, platform.gpu, db, topts);
   graph::ExecOptions opts;
   opts.compute_numerics = false;
-  opts.db = &db;
-  opts.conv_layout_block = layouts.layout_of_conv;
   Rng input_rng(0xbe5c);
   const graph::ExecResult r =
       graph::execute(model.graph, platform, opts, input_rng);

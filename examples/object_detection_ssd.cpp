@@ -27,12 +27,9 @@ int main() {
     std::set<graph::OpKind> cpu_ops;
     if (fallback) cpu_ops = {graph::OpKind::kSsdDetection};
     graph::optimize(m.graph, cpu_ops);
-    const auto layouts =
-        graphtune::tune_graph_layouts(m.graph, platform.gpu, db, topts);
+    graphtune::tune_graph_layouts(m.graph, platform.gpu, db, topts);
     graph::ExecOptions opts;
     opts.compute_numerics = false;  // synthetic detection inputs
-    opts.db = &db;
-    opts.conv_layout_block = layouts.layout_of_conv;
     opts.optimized_vision_ops = vision_opt;
     Rng in_rng(2);
     const auto r = graph::execute(m.graph, platform, opts, in_rng);

@@ -26,13 +26,10 @@ int main() {
   tune::TuneDb db;
   tune::TuneOptions topts;
   topts.n_trials = 64;
-  const auto layouts =
-      graphtune::tune_graph_layouts(m.graph, platform.gpu, db, topts);
+  graphtune::tune_graph_layouts(m.graph, platform.gpu, db, topts);
 
   graph::ExecOptions opts;
   opts.compute_numerics = false;
-  opts.db = &db;
-  opts.conv_layout_block = layouts.layout_of_conv;
   Rng in_rng(22);
   const auto r = graph::execute(m.graph, platform, opts, in_rng);
   std::printf("latency %.2f ms (conv %.2f, other %.2f)\n", r.latency_ms,

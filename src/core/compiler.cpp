@@ -10,7 +10,6 @@
 #include "graphtune/graph_tuner.h"
 #include "obs/metrics.h"
 #include "ops/nn/conv2d.h"
-#include "tune/conv_tuner.h"
 
 namespace igc {
 
@@ -31,21 +30,18 @@ CompiledModel compile(models::Model model, const sim::Platform& platform,
   cm.pass_stats_ = graph::pass_stats_from(cm.pass_report_, cm.graph_);
   if (opts.warm_db != nullptr) cm.db_ = *opts.warm_db;
   cm.tuned_ = !opts.skip_tuning;
+  // Every conv's schedule lands on its node here, once: tuned, or the
+  // template under skip_tuning (never the warm records).
   if (!opts.skip_tuning) {
     tune::TuneOptions topts;
     topts.n_trials = opts.tune_trials;
     topts.strategy = opts.strategy;
     topts.journal = opts.tune_journal;
-    const graphtune::GraphTuneResult layouts =
-        graphtune::tune_graph_layouts(cm.graph_, platform.gpu, cm.db_, topts);
-    cm.layouts_ = layouts.layout_of_conv;
-  }
-
-  // Resolve every conv's schedule once, here, so serving runs skip the
-  // per-dispatch database lookup. Content matches what the executor would
-  // resolve per run, so simulated latencies are unchanged.
-  for (int id : cm.graph_.conv_node_ids()) {
-    cm.conv_schedules_.emplace(id, cm.conv_schedule(cm.graph_, id));
+    cm.layouts_ =
+        graphtune::tune_graph_layouts(cm.graph_, platform.gpu, cm.db_, topts)
+            .layout_of_conv;
+  } else {
+    graphtune::write_schedules(cm.graph_, platform.gpu, {}, nullptr);
   }
 
   // Plan memory once. Buffer assignment depends only on liveness, so every
@@ -68,8 +64,8 @@ CompiledModel compile(models::Model model, const sim::Platform& platform,
 
 RunResult CompiledModel::run(const RunOptions& opts) const {
   // Resolve the shape binding first: a non-seed (batch, hw) runs the cached
-  // variant — rebound graph, re-resolved buffer sizes over the same buffer
-  // assignment, pre-resolved conv schedules. The seed binding runs the
+  // variant — rebound graph with its conv schedules rewritten, re-resolved
+  // buffer sizes over the same buffer assignment. The seed binding runs the
   // compiled graph exactly as before.
   const ShapeVariant* variant = resolve_variant(opts.batch, opts.input_hw);
   const graph::Graph& run_graph = variant != nullptr ? variant->graph : graph_;
@@ -78,11 +74,6 @@ RunResult CompiledModel::run(const RunOptions& opts) const {
 
   graph::ExecOptions eopts;
   eopts.compute_numerics = opts.compute_numerics;
-  eopts.use_tuned_configs = tuned_;
-  eopts.db = &db_;
-  eopts.conv_layout_block = layouts_;
-  eopts.conv_schedules =
-      variant != nullptr ? &variant->conv_schedules : &conv_schedules_;
   eopts.mode = opts.mode;
   eopts.trace = opts.trace;
   // JIT kernels are specialized to the seed shapes; non-seed bindings take
@@ -96,7 +87,6 @@ RunResult CompiledModel::run(const RunOptions& opts) const {
     meta.platform = platform_->name;
     meta.mode =
         opts.mode == graph::ExecMode::kWavefront ? "wavefront" : "sequential";
-    meta.arena = opts.use_arena;
     opts.trace->begin(std::move(meta));
   }
 
@@ -210,25 +200,13 @@ const CompiledModel::ShapeVariant* CompiledModel::resolve_variant(
       v->plan.unshared_bytes += n.out_shape.numel() * 4;
     }
   }
-  // Conv schedules for the rebound workloads, resolved with the same logic
-  // compile() used (lookup only — no tuning trials happen here).
-  for (int id : v->graph.conv_node_ids()) {
-    v->conv_schedules.emplace(id, conv_schedule(v->graph, id));
-  }
+  // A rebound conv is a different workload: look it up at the same block
+  // (no tuning trials happen here).
+  graphtune::write_schedules(v->graph, platform_->gpu, layouts_,
+                             tuned_ ? &db_ : nullptr);
   const ShapeVariant* raw = v.get();
   serving_->variants.emplace(key, std::move(v));
   return raw;
-}
-
-tune::ScheduleConfig CompiledModel::conv_schedule(const graph::Graph& g,
-                                                  int id) const {
-  const ops::Conv2dParams& p = g.node(id).conv;
-  const auto it = layouts_.find(id);
-  const int block = it == layouts_.end() ? 1 : it->second;
-  if (tuned_) return tune::lookup_or_default(p, platform_->gpu, block, &db_);
-  tune::ScheduleConfig cfg = ops::conv2d_manual_schedule(p, platform_->gpu);
-  cfg.set("layout_block", block);
-  return cfg;
 }
 
 int64_t ServingContext::arena_bytes() const {
@@ -295,7 +273,7 @@ std::map<std::string, std::string> CompiledModel::generated_sources() const {
     if (p.groups != 1) continue;  // IR lowering covers non-grouped conv
     const std::string key = p.workload_key();
     if (out.count(key)) continue;
-    tune::ScheduleConfig cfg = conv_schedule(graph_, id);
+    tune::ScheduleConfig cfg = graph_.node(id).schedule;
     // The IR lowering tiles along oc/ow; fall back to safe divisors if the
     // tuned tiles do not divide (remainder handling is a codegen TODO).
     auto fix_tile = [&](const char* knob, int64_t extent) {

@@ -10,7 +10,9 @@
 //
 // Every run executes out of buffers planned once at compile() time: node
 // outputs live in a PagedArena sized from the model's memory plan (see
-// ServingContext for who owns it).
+// ServingContext for who owns it). Every conv's schedule is fixed at
+// compile() time too, on its graph node (graphtune::write_schedules);
+// a dynamic-shape binding rewrites them on its rebound graph.
 //
 // This is the interface the Amazon SageMaker Neo-style service in the paper
 // exposes to application developers.
@@ -96,7 +98,7 @@ struct CompileOptions {
 
 /// Per-run numerics-engine choice (see Backend). kAuto runs whatever
 /// compile() prepared.
-enum class RunBackend { kAuto, kInterp, kJit };
+enum class RunBackend { kAuto, kInterp };
 
 /// The storage one run executes out of: the memory plan of one model at one
 /// shape binding plus a PagedArena sized from it. Every run uses one, owned
@@ -154,7 +156,7 @@ struct RunOptions {
   /// Tracing never changes outputs. The recorder must outlive the call;
   /// concurrent runs must not share one.
   obs::TraceRecorder* trace = nullptr;
-  /// kInterp forces the reference path even on a JIT-compiled model; kJit
+  /// kInterp forces the reference path even on a JIT-compiled model; kAuto
   /// on a model compiled without a JIT module just runs the reference path
   /// (there is nothing compiled to dispatch to).
   RunBackend backend = RunBackend::kAuto;
@@ -166,9 +168,10 @@ struct RunOptions {
   /// Dynamic shape binding: input batch (0 = the compiled seed batch) and
   /// input resolution (0 = the compiled seed resolution), validated against
   /// the model's declared ShapeSpec. A non-seed binding reuses the compiled
-  /// schedules and the memory plan's buffer assignment — zero replanning,
-  /// zero retuning — re-deriving only shapes and buffer sizes (cached per
-  /// binding). With a serving context, the binding must match the context's.
+  /// layout blocks and the memory plan's buffer assignment — zero
+  /// replanning, zero retuning — re-deriving only shapes, buffer sizes, and
+  /// the looked-up schedules of its rebound convs (cached per binding). With
+  /// a serving context, the binding must match the context's.
   int64_t batch = 0;
   int64_t input_hw = 0;
 };
@@ -247,16 +250,16 @@ class CompiledModel {
                                const sim::Platform& platform,
                                const CompileOptions& opts);
 
-  /// One cached dynamic-shape binding: the rebound graph, a plan copy with
-  /// re-resolved buffer sizes (same buffer assignment), and the conv
-  /// schedules resolved for the rebound workloads. Built once per distinct
-  /// (batch, hw) and immutable afterwards, so concurrent runs share it.
+  /// One cached dynamic-shape binding: the rebound graph, whose conv nodes
+  /// carry the schedules of the rebound workloads, and a plan copy with
+  /// re-resolved buffer sizes (same buffer assignment). Built once per
+  /// distinct (batch, hw) and immutable afterwards, so concurrent runs share
+  /// it.
   struct ShapeVariant {
     int64_t batch = 0;
     int64_t hw = 0;
     graph::Graph graph;
     graph::MemoryPlan plan;
-    std::map<int, tune::ScheduleConfig> conv_schedules;
   };
 
   /// Lazily built serving state: the persistent context use_arena runs share
@@ -283,10 +286,6 @@ class CompiledModel {
   std::unique_ptr<ServingContext> new_context(const ShapeVariant* variant,
                                               std::shared_ptr<PagePool> pool,
                                               bool cache_runs) const;
-  /// The schedule conv node `id` of `g` runs with: its tuned-database entry
-  /// at the graph tuner's layout block, or the hand-written template when
-  /// compiled with skip_tuning.
-  tune::ScheduleConfig conv_schedule(const graph::Graph& g, int id) const;
 
   std::string name_;
   graph::Graph graph_;
@@ -298,10 +297,8 @@ class CompiledModel {
   std::vector<graph::PassRunStats> pass_report_;
   tune::TuneDb db_;
   std::map<int, int> layouts_;
+  /// False under skip_tuning: variants then rewrite the template too.
   bool tuned_ = true;
-  /// Conv schedules resolved once at compile() time (ExecOptions::
-  /// conv_schedules), so serving runs skip the per-dispatch db lookup.
-  std::map<int, tune::ScheduleConfig> conv_schedules_;
   /// Host-JIT dispatch table (null unless compiled with Backend::kJit and a
   /// working toolchain).
   std::shared_ptr<codegen::jit::DispatchTable> jit_;

@@ -7,6 +7,7 @@
 #include <cstring>
 #include <functional>
 #include <optional>
+#include <set>
 #include <thread>
 
 #include "codegen/jit.h"
@@ -20,7 +21,6 @@
 #include "ops/vision/yolo.h"
 #include "sim/simulator.h"
 #include "sim/timing_model.h"
-#include "tune/conv_tuner.h"
 
 namespace igc::graph {
 namespace {
@@ -653,19 +653,14 @@ class ExecutorImpl {
     for (int in : n.inputs) {
       const int have = layout_block_[static_cast<size_t>(in)];
       if (have == required_block) continue;
-      const int64_t numel = g_.node(in).out_shape.numel();
-      sim::KernelLaunch k;
-      k.name = "layout_transform_" + g_.node(in).name;
-      k.flops = numel;
-      k.dram_read_bytes = 4 * numel;
-      k.dram_write_bytes = 4 * numel;
-      k.work_items = numel;
-      k.work_group_size = 64;
-      k.compute_efficiency = 0.6;
+      const Node& producer = g_.node(in);
       // A layout transform is a GPU kernel whoever consumes its output:
       // charge it on the GPU lane explicitly so transforms feeding a
       // CPU-placed node don't book as CPU-lane time.
-      cx.clock.charge_on(sim::Lane::kGpu, platform_.gpu, k);
+      cx.clock.charge_on(sim::Lane::kGpu, platform_.gpu,
+                         ops::layout_transform_kernel_cost(
+                             "layout_transform_" + producer.name,
+                             producer.out_shape.numel()));
     }
   }
 
@@ -1036,32 +1031,15 @@ class ExecutorImpl {
   }
 
   void exec_conv(NodeCtx& cx, const Node& n) {
-    const int block = [&] {
-      auto it = opts_.conv_layout_block.find(n.id);
-      return it == opts_.conv_layout_block.end() ? 1 : it->second;
-    }();
+    // The schedule compiled onto the node; without one, the hand-written
+    // template in NCHW (Table 5 "Before").
+    const bool compiled = !n.schedule.knobs().empty();
+    const tune::ScheduleConfig manual =
+        compiled ? tune::ScheduleConfig()
+                 : ops::conv2d_manual_schedule(n.conv, platform_.gpu);
+    const tune::ScheduleConfig& cfg = compiled ? n.schedule : manual;
+    const int block = static_cast<int>(cfg.get_or("layout_block", 1));
     charge_layout_edges(cx, n, block);
-    // Schedule resolution order: the pre-resolved per-node map (no string
-    // key building on the hot path), then the tuning database, then the
-    // hand-written template (Table 5 Before). All three agree on content —
-    // the map is just the lookup hoisted to compile time.
-    const tune::ScheduleConfig* pre = nullptr;
-    if (opts_.conv_schedules != nullptr) {
-      auto it = opts_.conv_schedules->find(n.id);
-      if (it != opts_.conv_schedules->end()) pre = &it->second;
-    }
-    tune::ScheduleConfig looked_up;
-    if (pre == nullptr) {
-      looked_up =
-          opts_.use_tuned_configs
-              ? tune::lookup_or_default(n.conv, platform_.gpu, block, opts_.db)
-              : [&] {
-                  auto c = ops::conv2d_manual_schedule(n.conv, platform_.gpu);
-                  c.set("layout_block", block);
-                  return c;
-                }();
-    }
-    const tune::ScheduleConfig& cfg = pre != nullptr ? *pre : looked_up;
     if (opts_.trace != nullptr) cx.schedule = cfg.str();
     if (n.place == Place::kCpu) {
       cx.clock.charge_cpu(platform_.cpu, n.conv.flops(), n.conv.min_bytes(),

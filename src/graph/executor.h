@@ -17,6 +17,10 @@
 // data from a private Rng seeded from (input seed, node name), so numerics
 // never depend on dispatch order or on which nodes run concurrently.
 //
+// Each conv runs the schedule compiled onto its node (Node::schedule, whose
+// layout_block knob is its activation layout); the executor never consults a
+// tuning database. A conv without one runs the hand-written template in NCHW.
+//
 // Every node output lives in a plan-backed BufferArena (see
 // src/tensor/arena.h): each node acquires the buffer its MemoryPlan assigns
 // and releases it after its last consumer, so buffers are recycled across
@@ -36,9 +40,6 @@
 //     full-size model benchmarks (SSD at 512x512) cheap on the host.
 #pragma once
 
-#include <map>
-#include <set>
-
 #include "core/rng.h"
 #include "graph/graph.h"
 #include "graph/memory_planner.h"
@@ -46,7 +47,6 @@
 #include "sim/clock.h"
 #include "sim/device_spec.h"
 #include "tensor/arena.h"
-#include "tune/tunedb.h"
 
 namespace igc::codegen::jit {
 struct DispatchTable;
@@ -66,11 +66,6 @@ struct ExecOptions {
   bool compute_numerics = true;
   /// Sec. 3.1 optimizations on vision ops; off = Table 4 "Before".
   bool optimized_vision_ops = true;
-  /// Use tuned schedules from `db` for conv2d; off = Table 5 "Before".
-  bool use_tuned_configs = true;
-  const tune::TuneDb* db = nullptr;
-  /// Graph-tuner layout choice per conv node id (block size, 1 = NCHW).
-  std::map<int, int> conv_layout_block;
 
   /// Dispatch mode (see file comment). Outputs are identical either way.
   ExecMode mode = ExecMode::kSequential;
@@ -88,11 +83,6 @@ struct ExecOptions {
   /// null) take the reference path. Simulated charges and counters are
   /// unaffected either way.
   const codegen::jit::DispatchTable* jit = nullptr;
-  /// Pre-resolved conv schedule per node id (CompiledModel fills this at
-  /// compile time). Replaces the per-dispatch tuning-database lookup — and
-  /// its workload-key string building — on the serving hot path; nodes
-  /// missing from the map fall back to the lookup.
-  const std::map<int, tune::ScheduleConfig>* conv_schedules = nullptr;
 
   /// When set, one TraceSpan per executed node is appended to this recorder
   /// (simulated lane windows, host dispatch times, category, shapes, bytes,

@@ -3,7 +3,8 @@
 //
 // A Graph is a topologically ordered list of nodes. Model builders
 // (src/models) construct graphs through the typed helper methods; the passes
-// in src/graph/passes.h rewrite them; the executor in src/graph/executor.h
+// in src/graph/passes.h rewrite them; the graph tuner (src/graphtune) writes
+// each conv's schedule onto its node; the executor in src/graph/executor.h
 // runs them against a simulated platform.
 #pragma once
 
@@ -18,6 +19,7 @@
 #include "ops/vision/yolo.h"
 #include "tensor/layout.h"
 #include "tensor/tensor.h"
+#include "tune/config.h"
 
 namespace igc::graph {
 
@@ -83,6 +85,10 @@ struct Node {
 
   // Operator parameters (used according to `kind`).
   ops::Conv2dParams conv;
+  /// Conv: the compiled schedule, written by graphtune::write_schedules
+  /// (its layout_block knob is the conv's activation layout). Empty runs the
+  /// hand-written template in NCHW (Table 5 "Before").
+  tune::ScheduleConfig schedule;
   ops::Conv2dTransposeParams deconv;
   ops::DenseParams dense;
   ops::Pool2dParams pool;

@@ -5,6 +5,7 @@
 #include <set>
 
 #include "core/error.h"
+#include "ops/nn/nn_ops.h"
 #include "tune/conv_tuner.h"
 
 namespace igc::graphtune {
@@ -24,15 +25,8 @@ std::vector<int> layout_candidates(const ops::Conv2dParams& p,
 double transform_cost_ms(const sim::DeviceSpec& dev, int64_t numel,
                          int from_block, int to_block) {
   if (from_block == to_block) return 0.0;
-  sim::KernelLaunch k;
-  k.name = "layout_transform";
-  k.flops = numel;
-  k.dram_read_bytes = 4 * numel;
-  k.dram_write_bytes = 4 * numel;
-  k.work_items = numel;
-  k.work_group_size = 64;
-  k.compute_efficiency = 0.6;
-  return sim::estimate_latency_ms(dev, k);
+  return sim::estimate_latency_ms(
+      dev, ops::layout_transform_kernel_cost("layout_transform", numel));
 }
 
 namespace {
@@ -46,8 +40,7 @@ double tuned_kernel_ms(const ops::Conv2dParams& p, const sim::DeviceSpec& dev,
 
 }  // namespace
 
-GraphTuneResult tune_graph_layouts(const graph::Graph& g,
-                                   const sim::DeviceSpec& dev,
+GraphTuneResult tune_graph_layouts(graph::Graph& g, const sim::DeviceSpec& dev,
                                    tune::TuneDb& db,
                                    const tune::TuneOptions& opts) {
   const std::vector<int> convs = g.conv_node_ids();
@@ -161,7 +154,19 @@ GraphTuneResult tune_graph_layouts(const graph::Graph& g,
   for (int id : convs) {
     result.nchw_ms += tuned_kernel_ms(g.node(id).conv, dev, 1, db, opts);
   }
+  write_schedules(g, dev, result.layout_of_conv, &db);
   return result;
+}
+
+void write_schedules(graph::Graph& g, const sim::DeviceSpec& dev,
+                     const std::map<int, int>& layout_of_conv,
+                     const tune::TuneDb* db) {
+  for (int id : g.conv_node_ids()) {
+    graph::Node& n = g.node(id);
+    const auto it = layout_of_conv.find(id);
+    const int block = it == layout_of_conv.end() ? 1 : it->second;
+    n.schedule = tune::lookup_or_default(n.conv, dev, block, db);
+  }
 }
 
 }  // namespace igc::graphtune

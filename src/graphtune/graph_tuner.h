@@ -12,6 +12,10 @@
 // The DP is exact on chains and trees (each producer feeding one conv). For
 // multi-consumer producers the upstream cost is apportioned across
 // consumers, the standard approximation for DAGs.
+//
+// The result is fixed at compile time: write_schedules() stores each
+// conv's schedule — its tuned record at the chosen block — on the graph node,
+// the one place the executor reads it from.
 #pragma once
 
 #include <map>
@@ -44,10 +48,18 @@ double transform_cost_ms(const sim::DeviceSpec& dev, int64_t numel,
                          int from_block, int to_block);
 
 /// Tunes every conv workload under every candidate layout (records land in
-/// `db`) and solves the layout-assignment DP.
-GraphTuneResult tune_graph_layouts(const graph::Graph& g,
-                                   const sim::DeviceSpec& dev,
+/// `db`), solves the layout-assignment DP, and writes the chosen schedules
+/// onto `g` (write_schedules with `db`).
+GraphTuneResult tune_graph_layouts(graph::Graph& g, const sim::DeviceSpec& dev,
                                    tune::TuneDb& db,
                                    const tune::TuneOptions& opts = {});
+
+/// Sets every conv node's `schedule`: the `db` record of its workload at its
+/// block in `layout_of_conv` (1 when absent), or the hand-written template at
+/// that block when `db` is null or holds no record. Looks up only; never
+/// tunes.
+void write_schedules(graph::Graph& g, const sim::DeviceSpec& dev,
+                     const std::map<int, int>& layout_of_conv,
+                     const tune::TuneDb* db);
 
 }  // namespace igc::graphtune

@@ -75,7 +75,6 @@ std::string TraceRecorder::chrome_trace_json() const {
   out += R"("model": ")" + json::escape(meta_.model) + R"(", )";
   out += R"("platform": ")" + json::escape(meta_.platform) + R"(", )";
   out += R"("mode": ")" + json::escape(meta_.mode) + R"(", )";
-  out += R"("arena": )" + std::string(meta_.arena ? "true" : "false") + ", ";
   out += R"("schema_version": )" + std::to_string(meta_.schema_version);
   out += "},\n\"traceEvents\": [";
 
@@ -235,9 +234,8 @@ std::string TraceRecorder::report(int top_k) const {
   char buf[256];
   std::string out;
   std::snprintf(buf, sizeof(buf),
-                "=== trace report: %s on %s (%s%s) ===\n",
-                meta.model.c_str(), meta.platform.c_str(), meta.mode.c_str(),
-                meta.arena ? ", arena" : "");
+                "=== trace report: %s on %s (%s) ===\n",
+                meta.model.c_str(), meta.platform.c_str(), meta.mode.c_str());
   out += buf;
   std::snprintf(buf, sizeof(buf),
                 "spans %zu | serial %.3f ms | critical path %.3f ms\n",

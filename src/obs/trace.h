@@ -34,7 +34,6 @@ struct TraceMeta {
   std::string model;
   std::string platform;
   std::string mode;  // "sequential" | "wavefront"
-  bool arena = false;
   /// v2: spans carry merged KernelCounters; the Chrome export adds counter
   /// tracks (occupancy / achieved GFLOPS / achieved GB/s).
   int schema_version = 2;

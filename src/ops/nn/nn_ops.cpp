@@ -290,4 +290,10 @@ sim::KernelLaunch elementwise_kernel_cost(const std::string& name, int64_t numel
   return k;
 }
 
+sim::KernelLaunch layout_transform_kernel_cost(const std::string& name,
+                                               int64_t numel) {
+  return elementwise_kernel_cost(name, numel, /*inputs_per_elem=*/1,
+                                 /*flops_per_elem=*/1);
+}
+
 }  // namespace igc::ops

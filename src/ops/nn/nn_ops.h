@@ -101,4 +101,10 @@ sim::KernelLaunch elementwise_kernel_cost(const std::string& name, int64_t numel
                                           int inputs_per_elem,
                                           int64_t flops_per_elem);
 
+/// Cost of converting `numel` elements between NCHW and NCHW[x]c (one read,
+/// one write each). The graph tuner's DP weighs layouts with this launch and
+/// the executor charges it, so the two cannot disagree.
+sim::KernelLaunch layout_transform_kernel_cost(const std::string& name,
+                                               int64_t numel);
+
 }  // namespace igc::ops

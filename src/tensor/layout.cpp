@@ -55,11 +55,4 @@ Tensor nchwc_to_nchw(const Tensor& src) {
   return dst;
 }
 
-int64_t layout_transform_elements(const Layout& from, const Layout& to,
-                                  int64_t numel) {
-  if (from == to) return 0;
-  // A transform reads and writes every element once.
-  return 2 * numel;
-}
-
 }  // namespace igc

@@ -51,10 +51,4 @@ Tensor nchw_to_nchwc(const Tensor& src, int block);
 /// NCHW.
 Tensor nchwc_to_nchw(const Tensor& src);
 
-/// Number of scalar elements moved by a layout transform between the two
-/// layouts for a tensor with `numel` elements (0 when `from == to`). Used by
-/// the graph tuner's transform-cost model.
-int64_t layout_transform_elements(const Layout& from, const Layout& to,
-                                  int64_t numel);
-
 }  // namespace igc

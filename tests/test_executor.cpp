@@ -3,9 +3,12 @@
 // vision-op optimization switch.
 #include <gtest/gtest.h>
 
+#include <map>
+
 #include "core/rng.h"
 #include "graph/executor.h"
 #include "graph/passes.h"
+#include "graphtune/graph_tuner.h"
 #include "models/common.h"
 #include "models/models.h"
 #include "ops/vision/nms.h"
@@ -94,12 +97,11 @@ TEST(Executor, TunedConfigsBeatDefaults) {
   for (int id : g.conv_node_ids()) {
     tune::tune_conv2d(g.node(id).conv, plat.gpu, 1, db, topts);
   }
-  ExecOptions untuned;
-  untuned.use_tuned_configs = false;
-  ExecOptions tuned;
-  tuned.db = &db;
-  const ExecResult a = run(g, PlatformId::kJetsonNano, untuned);
-  const ExecResult b = run(g, PlatformId::kJetsonNano, tuned);
+  Graph tuned = g;  // g keeps no schedules: the templates
+  graphtune::write_schedules(tuned, plat.gpu, {}, &db);
+  const ExecOptions opts;
+  const ExecResult a = run(g, PlatformId::kJetsonNano, opts);
+  const ExecResult b = run(tuned, PlatformId::kJetsonNano, opts);
   EXPECT_LT(b.conv_ms, a.conv_ms);
   // Numerics identical either way.
   EXPECT_LT(a.output.max_abs_diff(b.output), 1e-6f);
@@ -213,15 +215,16 @@ TEST(Executor, LayoutBlocksChargeTransforms) {
   optimize(g);
   const auto convs = g.conv_node_ids();
   ASSERT_GE(convs.size(), 2u);
-  ExecOptions plain;
-  ExecOptions blocked;
   // Alternate blocks so every conv edge needs a transform.
+  std::map<int, int> blocks;
   int flip = 0;
-  for (int id : convs) {
-    blocked.conv_layout_block[id] = (flip++ % 2 == 0) ? 8 : 1;
-  }
-  const ExecResult a = run(g, PlatformId::kDeepLens, plain);
-  const ExecResult b = run(g, PlatformId::kDeepLens, blocked);
+  for (int id : convs) blocks[id] = (flip++ % 2 == 0) ? 8 : 1;
+  Graph blocked = g;
+  graphtune::write_schedules(blocked, sim::platform(PlatformId::kDeepLens).gpu,
+                             blocks, nullptr);
+  const ExecOptions opts;
+  const ExecResult a = run(g, PlatformId::kDeepLens, opts);
+  const ExecResult b = run(blocked, PlatformId::kDeepLens, opts);
   int transforms = 0;
   for (const auto& e : b.events) {
     if (e.name.rfind("layout_transform", 0) == 0) ++transforms;

@@ -1,5 +1,6 @@
-// Tests for the graph tuner: layout candidates, transform costs, and DP
-// optimality (exact against exhaustive enumeration on conv chains).
+// Tests for the graph tuner: layout candidates, transform costs, DP
+// optimality (exact against exhaustive enumeration on conv chains), and the
+// schedules it writes onto the conv nodes.
 #include <gtest/gtest.h>
 
 #include <limits>
@@ -129,6 +130,13 @@ TEST(GraphTuner, BlockedLayoutsChosenWhenProfitable) {
   int blocked = 0;
   for (const auto& [id, b] : r.layout_of_conv) {
     if (b > 1) ++blocked;
+    // Each conv carries its tuned record at the chosen block.
+    const graph::Node& n = g.node(id);
+    const auto rec =
+        db.get(tune::TuneDb::make_key(dev.name, n.conv.workload_key(), b));
+    ASSERT_TRUE(rec.has_value()) << n.name;
+    EXPECT_EQ(n.schedule, rec->config) << n.name;
+    EXPECT_EQ(n.schedule.at("layout_block"), b) << n.name;
   }
   EXPECT_GT(blocked, 0);
 }

@@ -30,12 +30,9 @@ ExecResult full_pipeline(models::Model& m, const sim::Platform& plat,
   graph::optimize(m.graph);
   tune::TuneOptions topts;
   topts.n_trials = 32;
-  const auto layouts =
-      graphtune::tune_graph_layouts(m.graph, plat.gpu, db, topts);
+  graphtune::tune_graph_layouts(m.graph, plat.gpu, db, topts);
   ExecOptions opts;
   opts.compute_numerics = numerics;
-  opts.db = &db;
-  opts.conv_layout_block = layouts.layout_of_conv;
   Rng rng(input_seed);
   return graph::execute(m.graph, plat, opts, rng);
 }
@@ -67,23 +64,18 @@ TEST(Integration, TunedPipelineBeatsUntunedOnEveryPlatform) {
     Rng rng(6);
     models::Model m = models::build_squeezenet(rng, 64, 1, 10);
     graph::optimize(m.graph);
+    const graph::Graph untuned = m.graph;  // no schedules: the templates
     tune::TuneDb db;
     tune::TuneOptions topts;
     topts.n_trials = 32;
-    const auto layouts =
-        graphtune::tune_graph_layouts(m.graph, sim::platform(id).gpu, db, topts);
-    ExecOptions untuned;
-    untuned.compute_numerics = false;
-    untuned.use_tuned_configs = false;
-    ExecOptions tuned = untuned;
-    tuned.use_tuned_configs = true;
-    tuned.db = &db;
-    tuned.conv_layout_block = layouts.layout_of_conv;
+    graphtune::tune_graph_layouts(m.graph, sim::platform(id).gpu, db, topts);
+    ExecOptions opts;
+    opts.compute_numerics = false;
     Rng r1(1), r2(1);
     const double before =
-        graph::execute(m.graph, sim::platform(id), untuned, r1).latency_ms;
+        graph::execute(untuned, sim::platform(id), opts, r1).latency_ms;
     const double after =
-        graph::execute(m.graph, sim::platform(id), tuned, r2).latency_ms;
+        graph::execute(m.graph, sim::platform(id), opts, r2).latency_ms;
     EXPECT_LT(after, before) << sim::platform(id).name;
   }
 }
@@ -103,17 +95,21 @@ TEST(Integration, TuneDbPersistsAcrossProcessBoundary) {
           .string();
   db.save(path);
 
-  // Reload and verify the executor produces the identical simulated time.
+  // Reload, write its schedules onto a copy of the graph, and verify the
+  // executor produces the identical simulated time.
   const tune::TuneDb reloaded = tune::TuneDb::load(path);
   EXPECT_EQ(reloaded.size(), db.size());
-  ExecOptions a, b;
-  a.compute_numerics = b.compute_numerics = false;
-  a.db = &db;
-  b.db = &reloaded;
-  a.conv_layout_block = b.conv_layout_block = layouts.layout_of_conv;
+  graph::Graph from_reloaded = m.graph;
+  graphtune::write_schedules(from_reloaded, plat.gpu, layouts.layout_of_conv,
+                             &reloaded);
+  for (int id : m.graph.conv_node_ids()) {
+    EXPECT_EQ(from_reloaded.node(id).schedule, m.graph.node(id).schedule);
+  }
+  ExecOptions opts;
+  opts.compute_numerics = false;
   Rng r1(3), r2(3);
-  const double t1 = graph::execute(m.graph, plat, a, r1).latency_ms;
-  const double t2 = graph::execute(m.graph, plat, b, r2).latency_ms;
+  const double t1 = graph::execute(m.graph, plat, opts, r1).latency_ms;
+  const double t2 = graph::execute(from_reloaded, plat, opts, r2).latency_ms;
   EXPECT_DOUBLE_EQ(t1, t2);
   std::remove(path.c_str());
 }
@@ -175,12 +171,9 @@ TEST(Integration, FallbackOverheadIsSmall) {
     graph::optimize(m.graph, cpu_ops);
     tune::TuneOptions topts;
     topts.n_trials = 24;
-    const auto layouts =
-        graphtune::tune_graph_layouts(m.graph, plat.gpu, db, topts);
+    graphtune::tune_graph_layouts(m.graph, plat.gpu, db, topts);
     ExecOptions opts;
     opts.compute_numerics = false;
-    opts.db = &db;
-    opts.conv_layout_block = layouts.layout_of_conv;
     Rng r(11);
     return graph::execute(m.graph, plat, opts, r).latency_ms;
   };

@@ -270,7 +270,7 @@ void expect_bit_identical(const CompiledModel& cm) {
   for (graph::ExecMode mode :
        {graph::ExecMode::kSequential, graph::ExecMode::kWavefront}) {
     RunOptions jit;
-    jit.backend = RunBackend::kJit;
+    jit.backend = RunBackend::kAuto;
     jit.mode = mode;
     const RunResult r = cm.run(jit);
     const RunResult& ref =
@@ -351,7 +351,7 @@ TEST(Jit, DispatchesOnlyOnJitRuns) {
 
   auto s0 = snap();
   RunOptions jit;
-  jit.backend = RunBackend::kJit;
+  jit.backend = RunBackend::kAuto;
   (void)cm.run(jit);
   auto s1 = snap();
   EXPECT_GT(counter_delta(s0, s1, "jit.dispatches"), 0);
@@ -371,11 +371,10 @@ TEST(Jit, InterpCompileCarriesNoModule) {
   CompiledModel cm = compile(models::build_squeezenet(rng, 64, 1, 10), plat, o);
   EXPECT_FALSE(cm.jit_enabled());
   EXPECT_EQ(cm.jit_kernels(), 0);
-  // Asking for the JIT at run time on an interp-compiled model silently
-  // runs the reference path.
+  // kAuto on an interp-compiled model silently runs the reference path.
   auto s0 = snap();
   RunOptions jit;
-  jit.backend = RunBackend::kJit;
+  jit.backend = RunBackend::kAuto;
   const RunResult r = cm.run(jit);
   auto s1 = snap();
   EXPECT_EQ(counter_delta(s0, s1, "jit.dispatches"), 0);

@@ -143,7 +143,6 @@ TEST(Trace, CategoryTotalsMatchBreakdownAndLanesAreWellFormed) {
   ASSERT_FALSE(rec.spans().empty());
   EXPECT_EQ(rec.meta().model, cm.model_name());
   EXPECT_EQ(rec.meta().mode, "wavefront");
-  EXPECT_TRUE(rec.meta().arena);
 
   // The trace is a faithful decomposition of the breakdown.
   EXPECT_NEAR(rec.category_ms(sim::OpCategory::kConv), r.conv_ms, 1e-6);
@@ -253,7 +252,6 @@ TEST(Trace, ChromeExportIsValidJsonWithLaneTracks) {
   const obs::json::Value doc = obs::json::parse(rec.chrome_trace_json());
   EXPECT_EQ(doc.at("otherData").at("model").as_string(), cm.model_name());
   EXPECT_EQ(doc.at("otherData").at("mode").as_string(), "wavefront");
-  EXPECT_TRUE(doc.at("otherData").at("arena").as_bool());
   EXPECT_EQ(doc.at("otherData").at("schema_version").as_int(), 2);
   EXPECT_GE(count_lane_tracks(doc), 3);
 

@@ -12,9 +12,11 @@
 //     label);
 //   * dynamic shapes — one CompiledModel serves batch {1,2,4} x resolution
 //     {224,300,416} with zero replanning/retuning, bit-identical in outputs
-//     and simulated latencies to models statically compiled at each shape.
+//     and simulated latencies to models statically compiled at each shape;
+//     on a tuned model every conv runs its rebound workload's schedule.
 #include <gtest/gtest.h>
 
+#include <map>
 #include <thread>
 #include <vector>
 
@@ -25,9 +27,11 @@
 #include "graph/shape_infer.h"
 #include "models/models.h"
 #include "obs/metrics.h"
+#include "obs/trace.h"
 #include "sim/device_spec.h"
 #include "tensor/arena.h"
 #include "tensor/page_pool.h"
+#include "tune/conv_tuner.h"
 
 namespace igc {
 namespace {
@@ -517,6 +521,66 @@ TEST(DynamicShapes, FullSweepRunsWithZeroReplanningOrRetuning) {
   // no plan_memory() calls, no tuning trials.
   EXPECT_EQ(reg.counter("graph.plan.plans").value(), plans_before);
   EXPECT_EQ(reg.counter("tune.trials").value(), trials_before);
+}
+
+TEST(DynamicShapes, EveryConvRunsItsOwnWorkloadsScheduleAtEachBinding) {
+  // A rebound conv is a different workload: it runs the tuning-database
+  // record of the rebound workload at the conv's compiled layout block (the
+  // template at that block when the database has none), not the seed's.
+  // A database warmed by a static compile at batch 2, hw 96 holds records
+  // for the rebound workloads, so the lookup itself is exercised.
+  Rng rng(0x5eed);
+  const CompiledModel warm = compile_fast(models::build_squeezenet(rng, 96, 2));
+  CompileOptions copts;
+  copts.tune_trials = 8;
+  copts.warm_db = &warm.tune_db();
+  Rng rng1(0x5eed);
+  const CompiledModel cm =
+      compile(models::build_squeezenet(rng1, 64), plat(), copts);
+  Rng rng2(0x5eed);
+  models::Model ref = models::build_squeezenet(rng2, 64);
+  graph::optimize(ref.graph);
+
+  std::map<std::string, std::string> seed_schedule;
+  int differs = 0, tuned_rebound = 0;
+  for (const auto& [batch, hw] :
+       std::vector<std::pair<int64_t, int64_t>>{{0, 0}, {2, 96}}) {
+    const graph::Graph g =
+        batch == 0 ? ref.graph : graph::rebind_shapes(ref.graph, batch, hw);
+    std::map<std::string, int> id_of;
+    for (const graph::Node& n : g.nodes()) id_of[n.name] = n.id;
+
+    obs::TraceRecorder trace;
+    RunOptions ropts;
+    ropts.compute_numerics = false;
+    ropts.trace = &trace;
+    cm.run(batch, hw, ropts);
+
+    int convs = 0;
+    for (const obs::TraceSpan& s : trace.spans()) {
+      if (s.op != "conv2d") continue;
+      ++convs;
+      const int id = id_of.at(s.name);
+      const ops::Conv2dParams& p = g.node(id).conv;
+      const int block = cm.layouts().at(id);
+      const tune::ScheduleConfig want =
+          tune::lookup_or_default(p, plat().gpu, block, &cm.tune_db());
+      EXPECT_EQ(s.schedule, want.str()) << s.name << " batch " << batch;
+      if (batch == 0) {
+        seed_schedule[s.name] = s.schedule;
+        continue;
+      }
+      if (seed_schedule.at(s.name) != s.schedule) ++differs;
+      if (want != tune::lookup_or_default(p, plat().gpu, block, nullptr)) {
+        ++tuned_rebound;
+      }
+    }
+    EXPECT_EQ(convs, static_cast<int>(g.conv_node_ids().size()));
+  }
+  // Otherwise the checks above could not tell the seed's schedules, or the
+  // templates, from the rebound workloads' records.
+  EXPECT_GT(differs, 0);
+  EXPECT_GT(tuned_rebound, 0);
 }
 
 TEST(DynamicShapes, PlanBufferAssignmentIsShapeIndependent) {

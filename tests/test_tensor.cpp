@@ -84,13 +84,5 @@ TEST(Layout, IndivisibleChannelsRejected) {
   EXPECT_THROW(nchw_to_nchwc(a, 4), Error);
 }
 
-TEST(Layout, TransformCost) {
-  Layout nchw = Layout::nchw();
-  Layout b8 = Layout::nchwc(8);
-  EXPECT_EQ(layout_transform_elements(nchw, nchw, 100), 0);
-  EXPECT_EQ(layout_transform_elements(nchw, b8, 100), 200);
-  EXPECT_EQ(layout_transform_elements(b8, Layout::nchwc(16), 100), 200);
-}
-
 }  // namespace
 }  // namespace igc

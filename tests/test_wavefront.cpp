@@ -9,6 +9,7 @@
 #include "graph/executor.h"
 #include "graph/memory_planner.h"
 #include "graph/passes.h"
+#include "graphtune/graph_tuner.h"
 #include "models/models.h"
 #include "sim/device_spec.h"
 
@@ -55,7 +56,7 @@ graph::ExecResult run_no_reuse(const graph::Graph& g,
 /// arena, persistent arena, serving context} combination. Each must match
 /// the no-reuse reference bit for bit, on outputs and on both simulated
 /// time models: compile()'s pass pipeline replayed on a copy of the graph,
-/// run with the model's schedules and layouts.
+/// with the model's schedules written onto it from its database and layouts.
 void check_all_modes(const models::Model& model, const sim::Platform& plat,
                      bool numerics, std::set<graph::OpKind> fallback = {}) {
   constexpr uint64_t kSeed = 0x515;
@@ -64,10 +65,9 @@ void check_all_modes(const models::Model& model, const sim::Platform& plat,
 
   graph::Graph g = model.graph;
   graph::optimize(g, fallback);
+  graphtune::write_schedules(g, plat.gpu, cm.layouts(), &cm.tune_db());
   graph::ExecOptions eopts;
   eopts.compute_numerics = numerics;
-  eopts.db = &cm.tune_db();
-  eopts.conv_layout_block = cm.layouts();
   const graph::ExecResult ref = run_no_reuse(g, plat, eopts, kSeed);
 
   const std::unique_ptr<ServingContext> ctx = cm.make_serving_context();

@@ -13,12 +13,15 @@ namespace igc {
 
 /// splitmix64-based generator: tiny, fast, and good enough for workload
 /// synthesis and stochastic search (not for cryptography).
+///
+/// The state is a counter advanced by a fixed increment per draw, so draw k
+/// is a pure function of (seed, k) and discard() jumps ahead in O(1).
 class Rng {
  public:
   explicit Rng(uint64_t seed = 0x9e3779b97f4a7c15ull) : state_(seed) {}
 
   uint64_t next_u64() {
-    uint64_t z = (state_ += 0x9e3779b97f4a7c15ull);
+    uint64_t z = (state_ += kGamma);
     z = (z ^ (z >> 30)) * 0xbf58476d1ce4e5b9ull;
     z = (z ^ (z >> 27)) * 0x94d049bb133111ebull;
     return z ^ (z >> 31);
@@ -51,7 +54,12 @@ class Rng {
                               std::cos(6.283185307179586 * u2));
   }
 
+  /// Skips the next n draws of next_u64() (every other draw is built on it:
+  /// next_double, next_float and next_below take one, next_gaussian two).
+  void discard(uint64_t n) { state_ += n * kGamma; }
+
  private:
+  static constexpr uint64_t kGamma = 0x9e3779b97f4a7c15ull;
   uint64_t state_;
 };
 

@@ -13,6 +13,7 @@
 #include "codegen/jit.h"
 #include "core/error.h"
 #include "core/thread_pool.h"
+#include "graph/synthetic.h"
 #include "obs/metrics.h"
 #include "ops/nn/conv2d.h"
 #include "ops/nn/nn_ops.h"
@@ -59,66 +60,6 @@ struct NodeRun {
   uint64_t host_thread = 0;    // hashed std::thread::id
   std::string schedule;        // chosen conv ScheduleConfig (traced runs)
 };
-
-/// Synthetic detection-head tensors for shapes-only execution. Scores follow
-/// an edge-realistic distribution: the background class dominates almost
-/// every anchor, with a small fraction of genuine detections, so NMS does a
-/// production-like amount of work (a few hundred to ~1k candidates).
-///
-/// The head layout is (B, A*C, H, W): channel ch belongs to class ch % C,
-/// class 0 = background.
-Tensor synthesize_ssd_cls(const Shape& shape, int64_t num_classes, Rng& rng) {
-  Tensor t(shape, DType::kFloat32);
-  const int64_t b = shape[0];
-  const int64_t channels = shape[1];
-  const int64_t hw = shape.numel() / (b * channels);
-  float* p = t.data_f32();
-  for (int64_t bi = 0; bi < b; ++bi) {
-    for (int64_t ch = 0; ch < channels; ++ch) {
-      const int64_t cls = ch % num_classes;
-      for (int64_t i = 0; i < hw; ++i) {
-        float v;
-        if (cls == 0) {
-          v = 6.0f;  // strong background logit
-        } else if (rng.next_double() < 0.002) {
-          v = rng.next_float(2.0f, 7.0f);  // a genuine detection
-        } else {
-          v = rng.next_float(-6.0f, -2.0f);
-        }
-        p[(bi * channels + ch) * hw + i] = v;
-      }
-    }
-  }
-  return t;
-}
-
-Tensor synthesize_yolo_head(const Shape& shape, Rng& rng) {
-  // Objectness logits mostly strongly negative; decode sees ~1% positives.
-  Tensor t(shape, DType::kFloat32);
-  for (float& v : t.span_f32()) {
-    v = rng.next_double() < 0.01 ? rng.next_float(0.0f, 2.0f)
-                                 : rng.next_float(-8.0f, -4.0f);
-  }
-  return t;
-}
-
-Tensor synthesize_nms_input(const Shape& shape, Rng& rng) {
-  Tensor t = Tensor::full(shape, -1.0f);
-  const int64_t n = shape[0] * shape[1];
-  float* p = t.data_f32();
-  for (int64_t i = 0; i < n; ++i) {
-    if (rng.next_double() >= 0.02) continue;
-    const float x1 = rng.next_float(0.0f, 0.8f);
-    const float y1 = rng.next_float(0.0f, 0.8f);
-    p[i * 6 + 0] = static_cast<float>(rng.next_int(0, 19));
-    p[i * 6 + 1] = rng.next_float(0.05f, 1.0f);
-    p[i * 6 + 2] = x1;
-    p[i * 6 + 3] = y1;
-    p[i * 6 + 4] = x1 + rng.next_float(0.02f, 0.2f);
-    p[i * 6 + 5] = y1 + rng.next_float(0.02f, 0.2f);
-  }
-  return t;
-}
 
 /// Per-worker reusable buffers for JIT dispatch: the kernel-argument array
 /// and the zero-padded conv input. Thread-local so steady-state serving
@@ -178,6 +119,7 @@ class ExecutorImpl {
     layout_block_.assign(n_nodes, 1);
     node_runs_.resize(n_nodes);
     compute_liveness();
+    compute_data_reads();
     base_seed_ = input_rng_.next_u64();
     setup_arena();
 
@@ -236,6 +178,42 @@ class ExecutorImpl {
   // Compacted graphs (the default pipeline) are fully live; the mask only
   // filters dead markers when a custom pipeline skipped compaction.
   void compute_liveness() { live_ = g_.live_mask(); }
+
+  /// Marks the nodes whose output data some later step reads. With numerics
+  /// on, that is every node. With numerics off, the only readers are the
+  /// vision ops, which decode a materialized input instead of synthesizing
+  /// one, and the graph output, which escapes to the caller; Flatten and
+  /// DeviceCopy alias their input, so a read of the alias reads it too. An
+  /// input node nothing reads stays a placeholder (see kInput).
+  void compute_data_reads() {
+    const size_t n_nodes = static_cast<size_t>(g_.num_nodes());
+    data_read_.assign(n_nodes, opts_.compute_numerics);
+    if (opts_.compute_numerics) return;
+    data_read_[static_cast<size_t>(g_.output())] = true;
+    for (int id = g_.num_nodes() - 1; id >= 0; --id) {
+      const Node& n = g_.node(id);
+      if (!live(id)) continue;
+      bool reads = false;
+      switch (n.kind) {
+        case OpKind::kMultiboxDetection:
+        case OpKind::kSsdDetection:
+        case OpKind::kYoloDecode:
+        case OpKind::kDetectionConcat:
+        case OpKind::kBoxNms:
+        case OpKind::kRoiAlign:
+          reads = true;
+          break;
+        case OpKind::kFlatten:
+        case OpKind::kDeviceCopy:
+          reads = data_read_[static_cast<size_t>(id)];
+          break;
+        default:
+          break;
+      }
+      if (!reads) continue;
+      for (int in : n.inputs) data_read_[static_cast<size_t>(in)] = true;
+    }
+  }
 
   /// Binds the caller's (arena, plan) pair, or plans memory for this run
   /// and builds a private arena when none was passed.
@@ -686,12 +664,16 @@ class ExecutorImpl {
   void exec_node(NodeCtx& cx, const Node& n) {
     switch (n.kind) {
       case OpKind::kInput: {
+        layout_block_[static_cast<size_t>(n.id)] = 1;
+        if (!data_read_[static_cast<size_t>(n.id)]) {  // see compute_data_reads
+          set_placeholder(n);
+          return;
+        }
         Value& v = val(n.id);
         v.tensor = arena_acquire(n, n.out_shape, DType::kFloat32,
                                  /*zero_fill=*/false);
         for (float& x : v.tensor.span_f32()) x = cx.rng.next_float(0.0f, 1.0f);
         v.materialized = true;
-        layout_block_[static_cast<size_t>(n.id)] = 1;
         return;
       }
       case OpKind::kConstant: {
@@ -839,17 +821,20 @@ class ExecutorImpl {
         return;
       case OpKind::kYoloDecode: {
         charge_layout_edges(cx, n, 1);
-        Tensor head = val(n.inputs[0]).materialized
-                          ? in_tensor(n)
-                          : synthesize_yolo_head(g_.node(n.inputs[0]).out_shape,
-                                                 cx.rng);
+        // A placeholder head is synthesized element by element, only where
+        // the decode reads it.
+        const Shape& head = g_.node(n.inputs[0]).out_shape;
         Tensor out;
-        if (n.place == Place::kCpu) {
-          out = ops::yolo_decode_reference(head, n.yolo);
-          cx.clock.charge_cpu(platform_.cpu, head.numel() * 8, head.nbytes(),
-                              0.9, n.name);
+        if (val(n.inputs[0]).materialized) {
+          out = ops::yolo_decode_reference(in_tensor(n), n.yolo);
         } else {
-          out = ops::yolo_decode_gpu(cx.gpu, head, n.yolo);
+          out = ops::yolo_decode_at(head, SyntheticYoloHead(cx.rng), n.yolo);
+        }
+        if (n.place == Place::kCpu) {
+          cx.clock.charge_cpu(platform_.cpu, head.numel() * 8,
+                              head.numel() * 4, 0.9, n.name);
+        } else {
+          ops::charge_yolo_decode_gpu(cx.gpu, head, n.yolo);
         }
         set_computed(n, std::move(out));
         return;
@@ -886,24 +871,11 @@ class ExecutorImpl {
         const bool have = in_materialized(n);
         Tensor feats = have ? in_tensor(n, 0)
                             : Tensor::zeros(g_.node(n.inputs[0]).out_shape);
-        Tensor rois = in_tensor(n, 1);
-        if (!val(n.inputs[1]).materialized) {
-          // Synthesize plausible proposals inside the feature map.
-          const Shape& fs = g_.node(n.inputs[0]).out_shape;
-          rois = Tensor(g_.node(n.inputs[1]).out_shape, DType::kFloat32);
-          for (int64_t r = 0; r < rois.shape()[0]; ++r) {
-            float* row = rois.data_f32() + r * 5;
-            row[0] = static_cast<float>(cx.rng.next_int(0, fs[0] - 1));
-            const float x1 =
-                cx.rng.next_float(0.0f, static_cast<float>(fs[3]) * 0.6f);
-            const float y1 =
-                cx.rng.next_float(0.0f, static_cast<float>(fs[2]) * 0.6f);
-            row[1] = x1;
-            row[2] = y1;
-            row[3] = x1 + cx.rng.next_float(2.0f, static_cast<float>(fs[3]) * 0.4f);
-            row[4] = y1 + cx.rng.next_float(2.0f, static_cast<float>(fs[2]) * 0.4f);
-          }
-        }
+        const Tensor rois =
+            val(n.inputs[1]).materialized
+                ? in_tensor(n, 1)
+                : synthesize_rois(g_.node(n.inputs[1]).out_shape,
+                                  g_.node(n.inputs[0]).out_shape, cx.rng);
         Tensor out;
         if (n.place == Place::kCpu) {
           out = ops::roi_align_reference(feats, rois, n.roi);
@@ -1094,28 +1066,14 @@ class ExecutorImpl {
     charge_layout_edges(cx, n, 1);
     const bool have = in_materialized(n);
     // The (B, C, N) class-probability tensor: dim 1 is the class axis
-    // (class 0 = background). Synthesize realistic probabilities directly.
-    Tensor cls = in_tensor(n, 0);
-    if (!have) {
-      const Shape& cs = g_.node(n.inputs[0]).out_shape;
-      cls = Tensor(cs, DType::kFloat32);
-      const int64_t nc = cs[1];
-      const int64_t na = cs[2];
-      for (int64_t b = 0; b < cs[0]; ++b) {
-        for (int64_t c = 0; c < nc; ++c) {
-          for (int64_t i = 0; i < na; ++i) {
-            float v = c == 0 ? 0.95f : 0.002f;
-            if (c != 0 && cx.rng.next_double() < 0.002) {
-              v = cx.rng.next_float(0.2f, 0.9f);
-            }
-            cls.data_f32()[(b * nc + c) * na + i] = v;
-          }
-        }
-      }
-    }
-    Tensor loc = have ? in_tensor(n, 1)
-                      : Tensor::random_normal(g_.node(n.inputs[1]).out_shape,
-                                              cx.rng, 0.3f);
+    // (class 0 = background).
+    const Tensor cls =
+        have ? in_tensor(n, 0)
+             : synthesize_multibox_cls(g_.node(n.inputs[0]).out_shape, cx.rng);
+    const Tensor loc =
+        have ? in_tensor(n, 1)
+             : Tensor::random_normal(g_.node(n.inputs[1]).out_shape, cx.rng,
+                                     0.3f);
     // Decode stage.
     const Tensor decoded =
         ops::multibox_decode_reference(cls, loc, n.anchors, n.mbox);
@@ -1138,70 +1096,51 @@ class ExecutorImpl {
     const int64_t total = n.out_shape[1];
     const int64_t bsz = n.out_shape[0];
 
-    // Assemble (B, C, N) class probabilities (softmax over classes) and
-    // (B, N*4) localization deltas from the per-scale head tensors.
-    Tensor cls_prob = Tensor::zeros(Shape{bsz, c1, total});
-    Tensor loc_pred = Tensor::zeros(Shape{bsz, total * 4});
-    int64_t anchor_off = 0;
-    for (size_t h = 0; h + 1 < n.inputs.size(); h += 2) {
-      const int cls_id = n.inputs[h];
-      const int loc_id = n.inputs[h + 1];
+    // Unmaterialized heads are synthesized from the node's Rng in input
+    // order, each head's class logits and then its deltas. Every logit
+    // enters its anchor's softmax, so class logits are filled in full;
+    // deltas are read on demand, only for anchors that pass valid_thresh,
+    // and the Rng jumps past them.
+    const size_t n_heads = n.inputs.size() / 2;
+    std::vector<Tensor> synth_cls;
+    synth_cls.reserve(n_heads);
+    std::vector<ops::SsdHeadView> heads(n_heads);
+    for (size_t h = 0; h < n_heads; ++h) {
+      const int cls_id = n.inputs[2 * h];
+      const int loc_id = n.inputs[2 * h + 1];
+      const Value& cls = val(cls_id);
+      const Value& loc = val(loc_id);
       const Shape& cs = g_.node(cls_id).out_shape;
-      const int64_t a = cs[1] / c1;
-      const int64_t gh = cs[2];
-      const int64_t gw = cs[3];
-      const Tensor cls_t = val(cls_id).materialized
-                               ? val(cls_id).tensor
-                               : synthesize_ssd_cls(cs, c1, cx.rng);
-      const Tensor loc_t =
-          val(loc_id).materialized
-              ? val(loc_id).tensor
-              : Tensor::random_normal(g_.node(loc_id).out_shape, cx.rng, 0.3f);
-      const float* cp = cls_t.data_f32();
-      const float* lp = loc_t.data_f32();
-      for (int64_t b = 0; b < bsz; ++b) {
-        for (int64_t y = 0; y < gh; ++y) {
-          for (int64_t x = 0; x < gw; ++x) {
-            for (int64_t ai = 0; ai < a; ++ai) {
-              const int64_t anchor = anchor_off + ((y * gw + x) * a + ai);
-              // Softmax over the c1 class logits of this anchor.
-              float maxv = -1e30f;
-              for (int64_t c = 0; c < c1; ++c) {
-                maxv = std::max(maxv,
-                                cp[((b * a * c1 + ai * c1 + c) * gh + y) * gw + x]);
-              }
-              double sum = 0.0;
-              for (int64_t c = 0; c < c1; ++c) {
-                sum += std::exp(
-                    cp[((b * a * c1 + ai * c1 + c) * gh + y) * gw + x] - maxv);
-              }
-              for (int64_t c = 0; c < c1; ++c) {
-                const float e = std::exp(
-                    cp[((b * a * c1 + ai * c1 + c) * gh + y) * gw + x] - maxv);
-                cls_prob.data_f32()[(b * c1 + c) * total + anchor] =
-                    static_cast<float>(e / sum);
-              }
-              for (int64_t d = 0; d < 4; ++d) {
-                loc_pred.data_f32()[b * total * 4 + anchor * 4 + d] =
-                    lp[((b * a * 4 + ai * 4 + d) * gh + y) * gw + x];
-              }
-            }
-          }
-        }
+      ops::SsdHeadView& view = heads[h];
+      view.anchors_per_cell = cs[1] / c1;
+      view.height = cs[2];
+      view.width = cs[3];
+      if (cls.materialized) {
+        view.cls = cls.tensor.data_f32();
+      } else {
+        synth_cls.push_back(synthesize_ssd_cls(cs, c1, cx.rng));
+        view.cls = synth_cls.back().data_f32();
       }
-      anchor_off += a * gh * gw;
+      if (loc.materialized) {
+        const float* lp = loc.tensor.data_f32();
+        view.loc = [lp](int64_t i) { return lp[i]; };
+      } else {
+        view.loc = SyntheticNormal(cx.rng, 0.3f);
+        const int64_t deltas = g_.node(loc_id).out_shape.numel();
+        cx.rng.discard(2 * static_cast<uint64_t>(deltas));
+      }
     }
-    IGC_CHECK_EQ(anchor_off, total);
 
     // Charge the assembly + per-anchor softmax as one elementwise kernel.
     charge_elementwise(cx, n, bsz * total * c1, 1, 6);
 
-    // Decode stage.
+    // Decode stage, charged as a decode over (B, C, N) probabilities and
+    // (B, N*4) deltas.
     const Tensor decoded =
-        ops::multibox_decode_reference(cls_prob, loc_pred, n.anchors, n.mbox);
+        ops::ssd_decode_heads(heads, bsz, c1, n.anchors, n.mbox);
     if (n.place == Place::kCpu) {
-      cx.clock.charge_cpu(platform_.cpu, cls_prob.numel() * 4,
-                          cls_prob.nbytes() + loc_pred.nbytes(), 0.8,
+      cx.clock.charge_cpu(platform_.cpu, bsz * c1 * total * 4,
+                          4 * bsz * c1 * total + 4 * bsz * total * 4, 0.8,
                           n.name + "_decode_cpu");
     } else {
       cx.gpu.launch_elementwise("ssd_decode", bsz * total, [](int64_t) {},
@@ -1243,6 +1182,7 @@ class ExecutorImpl {
 
   std::vector<Value> values_;
   std::vector<bool> live_;
+  std::vector<bool> data_read_;
   std::vector<int> layout_block_;
   std::vector<int> pending_;
   std::vector<NodeRun> node_runs_;

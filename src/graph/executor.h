@@ -35,9 +35,27 @@
 //     examples, small inputs);
 //   * numerics off — compute-heavy tensor ops propagate shapes only while
 //     still charging their cost; vision ops always run functionally, on
-//     synthetic-but-realistic detection inputs from the workload generator,
-//     because their cost depends on the data distribution. This mode makes
+//     synthetic-but-realistic detection inputs (graph/synthetic.h), because
+//     their cost depends on the data distribution. This mode makes
 //     full-size model benchmarks (SSD at 512x512) cheap on the host.
+//
+// A numerics-off run computes only the data a later step reads:
+//   * An input node is filled only when its data is read: it is the graph
+//     output, or a vision op consumes it directly or through Flatten /
+//     DeviceCopy aliases (an input feeding box_nms or ROIAlign). Otherwise
+//     it is a placeholder.
+//   * A detection head that is a placeholder is synthesized from the
+//     consuming node's Rng. yolo_decode reads head elements on demand and
+//     reads a (cell, anchor)'s class scores only when its objectness can
+//     reach conf_thresh. ssd_detection synthesizes class logits in full and
+//     deltas only for anchors that pass valid_thresh, skipping the softmax
+//     of anchors a bound proves rejected.
+// Outputs, charges, ClockEvents and counters stay bit-identical to filling
+// everything: the Rng is counter-based, so a synthesized element is a pure
+// function of (node seed, index) whether or not its neighbours were drawn;
+// each skip is taken only where the full computation provably yields the
+// same row (NaN and infinities included); and every charge is computed from
+// shapes, not from the host work done.
 #pragma once
 
 #include "core/rng.h"

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <limits>
 #include <numeric>
 #include <set>
 
@@ -344,6 +345,90 @@ Tensor multibox_decode_reference(const Tensor& cls_prob, const Tensor& loc_pred,
                                  const Tensor& anchors,
                                  const MultiboxDetectionParams& p) {
   return decode_detections(cls_prob, loc_pred, anchors, p);
+}
+
+Tensor ssd_decode_heads(const std::vector<SsdHeadView>& heads, int64_t batch,
+                        int64_t num_classes, const Tensor& anchors,
+                        const MultiboxDetectionParams& p) {
+  const int64_t c1 = num_classes;  // includes background 0
+  IGC_CHECK_GE(c1, 2);
+  int64_t total = 0;
+  for (const SsdHeadView& h : heads) {
+    total += h.anchors_per_cell * h.height * h.width;
+  }
+  IGC_CHECK(anchors.shape() == Shape({total, 4}));
+
+  // The skip bound. When every logit is finite and the largest is at least
+  // the running max's initial -1e30f, the max term contributes exp(0) = 1,
+  // so the softmax sum is >= 1 and class c's probability is at most
+  // exp(l_c - max). If that stays below valid_thresh for the largest
+  // non-background logit, it does for every non-background class, and
+  // decode rejects the anchor. The test runs in the log domain with a margin far wider than
+  // expf's rounding error; a threshold that is not a normal positive float
+  // (or is NaN) never skips.
+  const float thresh = p.nms.valid_thresh;
+  const double skip_below =
+      thresh >= std::numeric_limits<float>::min()
+          ? std::log(static_cast<double>(thresh)) - 1e-3
+          : -std::numeric_limits<double>::infinity();
+
+  Tensor out = Tensor::full(Shape{batch, total, kBoxLen}, -1.0f);
+  const float* an = anchors.data_f32();
+  float* o = out.data_f32();
+  std::vector<float> e(static_cast<size_t>(c1));
+  for (int64_t b = 0; b < batch; ++b) {
+    int64_t anchor_off = 0;
+    for (const SsdHeadView& h : heads) {
+      const int64_t a = h.anchors_per_cell;
+      const int64_t plane = h.height * h.width;
+      for (int64_t cell = 0; cell < plane; ++cell) {
+        for (int64_t ai = 0; ai < a; ++ai) {
+          const int64_t anchor = anchor_off + cell * a + ai;
+          // Class c of this anchor is logit[c * plane].
+          const float* logit = h.cls + (b * a + ai) * c1 * plane + cell;
+          float maxv = -1e30f;
+          float top_fg = -std::numeric_limits<float>::infinity();
+          bool finite = true;
+          for (int64_t c = 0; c < c1; ++c) {
+            const float l = logit[c * plane];
+            maxv = std::max(maxv, l);
+            finite = finite && std::isfinite(l);
+            if (c > 0) top_fg = std::max(top_fg, l);
+          }
+          if (finite && std::max(logit[0], top_fg) >= -1e30f &&
+              static_cast<double>(top_fg - maxv) < skip_below) {
+            continue;
+          }
+          // Softmax, each exp computed once and summed in double.
+          double sum = 0.0;
+          for (int64_t c = 0; c < c1; ++c) {
+            e[static_cast<size_t>(c)] = std::exp(logit[c * plane] - maxv);
+            sum += e[static_cast<size_t>(c)];
+          }
+          // Best non-background class, in multibox_decode_reference's order.
+          int64_t best_c = 1;
+          float best = static_cast<float>(e[1] / sum);
+          for (int64_t c = 2; c < c1; ++c) {
+            const float v = static_cast<float>(e[static_cast<size_t>(c)] / sum);
+            if (v > best) {
+              best = v;
+              best_c = c;
+            }
+          }
+          if (best < p.nms.valid_thresh) continue;  // stays invalid
+          float* row = o + (b * total + anchor) * kBoxLen;
+          row[0] = static_cast<float>(best_c - 1);
+          row[1] = best;
+          const int64_t loc_base = (b * a + ai) * 4 * plane + cell;
+          float loc[4];
+          for (int64_t d = 0; d < 4; ++d) loc[d] = h.loc(loc_base + d * plane);
+          decode_box(loc, an + anchor * 4, p.variances, row + 2);
+        }
+      }
+      anchor_off += a * plane;
+    }
+  }
+  return out;
 }
 
 Tensor multibox_detection_reference(const Tensor& cls_prob,

@@ -14,6 +14,7 @@
 #pragma once
 
 #include <cstdint>
+#include <functional>
 #include <vector>
 
 #include "sim/simulator.h"
@@ -77,6 +78,33 @@ struct MultiboxDetectionParams {
 Tensor multibox_decode_reference(const Tensor& cls_prob, const Tensor& loc_pred,
                                  const Tensor& anchors,
                                  const MultiboxDetectionParams& p);
+
+/// One scale of SSD head outputs, as ssd_decode_heads() reads it.
+struct SsdHeadView {
+  /// Class logits, (B, A*C, H, W): channel a*C + c is anchor a's class c,
+  /// class 0 = background.
+  const float* cls = nullptr;
+  /// Element i of the flat (B, A*4, H, W) localization deltas. Called only
+  /// for anchors that pass valid_thresh, so a caller may produce deltas on
+  /// demand.
+  std::function<float(int64_t)> loc;
+  int64_t anchors_per_cell = 0;
+  int64_t height = 0;
+  int64_t width = 0;
+};
+
+/// SSD detection decode straight from per-scale heads: per anchor, the
+/// softmax over its C class logits, the best non-background class and the
+/// decoded box, written to the (B, N, 6) candidates (N = sum of A*H*W over
+/// the heads, in the anchors' row order; each scale's rows go (y, x, a)).
+/// Bit-identical to assembling (B, C, N) softmax probabilities and (B, N*4)
+/// deltas and calling multibox_decode_reference(). An anchor whose every
+/// non-background probability provably falls below valid_thresh is skipped
+/// without its softmax; an anchor with a non-finite logit, or with every
+/// logit below -1e30f, always runs it.
+Tensor ssd_decode_heads(const std::vector<SsdHeadView>& heads, int64_t batch,
+                        int64_t num_classes, const Tensor& anchors,
+                        const MultiboxDetectionParams& p);
 
 /// Decodes SSD head outputs into detections and applies NMS.
 ///   cls_prob: (B, num_classes + 1, N) with class 0 = background,

@@ -1,85 +1,27 @@
 #include "ops/vision/yolo.h"
 
-#include <algorithm>
-#include <cmath>
-
-#include "core/error.h"
-
 namespace igc::ops {
-namespace {
-
-float sigmoid(float x) { return 1.0f / (1.0f + std::exp(-x)); }
-
-}  // namespace
 
 Tensor yolo_decode_reference(const Tensor& head, const YoloDecodeParams& p) {
-  IGC_CHECK_EQ(head.shape().ndim(), 4);
-  const int64_t bsz = head.shape()[0];
-  const int64_t a = static_cast<int64_t>(p.anchors.size());
-  IGC_CHECK_GT(a, 0);
-  const int64_t per_anchor = 5 + p.num_classes;
-  IGC_CHECK_EQ(head.shape()[1], a * per_anchor);
-  const int64_t gh = head.shape()[2];
-  const int64_t gw = head.shape()[3];
-  const int64_t n = gh * gw * a;
-
-  Tensor out = Tensor::full(Shape{bsz, n, 6}, -1.0f);
   const float* in = head.data_f32();
-  float* o = out.data_f32();
-  const float inv_input = 1.0f / static_cast<float>(p.input_size);
+  return yolo_decode_at(
+      head.shape(), [in](int64_t i) { return in[i]; }, p);
+}
 
-  for (int64_t b = 0; b < bsz; ++b) {
-    for (int64_t ai = 0; ai < a; ++ai) {
-      for (int64_t gy = 0; gy < gh; ++gy) {
-        for (int64_t gx = 0; gx < gw; ++gx) {
-          auto at = [&](int64_t ch) {
-            return in[((b * a * per_anchor + ai * per_anchor + ch) * gh + gy) * gw +
-                      gx];
-          };
-          const float obj = sigmoid(at(4));
-          // Best class.
-          int64_t best_c = 0;
-          float best = sigmoid(at(5));
-          for (int64_t c = 1; c < p.num_classes; ++c) {
-            const float v = sigmoid(at(5 + c));
-            if (v > best) {
-              best = v;
-              best_c = c;
-            }
-          }
-          const float score = obj * best;
-          const int64_t row_idx = (gy * gw + gx) * a + ai;
-          float* row = o + (b * n + row_idx) * 6;
-          if (score < p.conf_thresh) continue;
-          // Box decode: sigmoid offsets within the cell, exp-scaled anchors.
-          const float cx = (static_cast<float>(gx) + sigmoid(at(0))) /
-                           static_cast<float>(gw);
-          const float cy = (static_cast<float>(gy) + sigmoid(at(1))) /
-                           static_cast<float>(gh);
-          const float bw = p.anchors[static_cast<size_t>(ai)].first *
-                           std::exp(at(2)) * inv_input * 0.5f;
-          const float bh = p.anchors[static_cast<size_t>(ai)].second *
-                           std::exp(at(3)) * inv_input * 0.5f;
-          row[0] = static_cast<float>(best_c);
-          row[1] = score;
-          row[2] = cx - bw;
-          row[3] = cy - bh;
-          row[4] = cx + bw;
-          row[5] = cy + bh;
-        }
-      }
-    }
-  }
-  return out;
+void charge_yolo_decode_gpu(sim::GpuSimulator& gpu, const Shape& head,
+                            const YoloDecodeParams& p) {
+  IGC_CHECK_EQ(head.ndim(), 4);
+  const int64_t cells = head[0] * head[2] * head[3] *
+                        static_cast<int64_t>(p.anchors.size());
+  gpu.launch_elementwise("yolo_decode", cells, [](int64_t) {},
+                         /*flops_per_elem=*/6 * (5 + p.num_classes) + 30,
+                         /*bytes_per_elem=*/4 * (5 + p.num_classes));
 }
 
 Tensor yolo_decode_gpu(sim::GpuSimulator& gpu, const Tensor& head,
                        const YoloDecodeParams& p) {
   Tensor out = yolo_decode_reference(head, p);
-  const int64_t cells = out.shape()[0] * out.shape()[1];
-  gpu.launch_elementwise("yolo_decode", cells, [](int64_t) {},
-                         /*flops_per_elem=*/6 * (5 + p.num_classes) + 30,
-                         /*bytes_per_elem=*/4 * (5 + p.num_classes));
+  charge_yolo_decode_gpu(gpu, head.shape(), p);
   return out;
 }
 

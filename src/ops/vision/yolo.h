@@ -3,8 +3,11 @@
 // ready for box_nms.
 #pragma once
 
+#include <cmath>
+#include <utility>
 #include <vector>
 
+#include "core/error.h"
 #include "sim/simulator.h"
 #include "tensor/tensor.h"
 
@@ -19,12 +22,91 @@ struct YoloDecodeParams {
   float conf_thresh = 0.01f;
 };
 
-/// head: (B, A*(5+num_classes), H, W) raw activations. Returns (B, H*W*A, 6)
-/// rows [class_id, score, x1, y1, x2, y2], normalized coordinates; entries
-/// below conf_thresh are invalid (-1).
+namespace detail {
+inline float yolo_sigmoid(float x) { return 1.0f / (1.0f + std::exp(-x)); }
+}  // namespace detail
+
+/// The decode body over any element source: `at(i)` returns element i of the
+/// flat (B, A*(5+num_classes), H, W) head of shape `head`, so a caller can
+/// decode a tensor or produce elements on demand. Returns (B, H*W*A, 6) rows
+/// [class_id, score, x1, y1, x2, y2], normalized coordinates; rows whose
+/// score falls below conf_thresh stay invalid (-1).
+///
+/// A (cell, anchor) whose objectness misses conf_thresh reads only its
+/// objectness and class-0 logits: every class score is at most 1, so
+/// score = obj * best <= obj cannot reach the threshold. The exception is a
+/// NaN class-0 score, which no later class replaces and which makes the
+/// score NaN; such a row is written, as the comparison lets it through.
+template <typename At>
+Tensor yolo_decode_at(const Shape& head, At&& at, const YoloDecodeParams& p) {
+  using detail::yolo_sigmoid;
+  IGC_CHECK_EQ(head.ndim(), 4);
+  const int64_t bsz = head[0];
+  const int64_t a = static_cast<int64_t>(p.anchors.size());
+  IGC_CHECK_GT(a, 0);
+  const int64_t per_anchor = 5 + p.num_classes;
+  IGC_CHECK_EQ(head[1], a * per_anchor);
+  const int64_t gh = head[2];
+  const int64_t gw = head[3];
+  const int64_t plane = gh * gw;
+  const int64_t n = plane * a;
+
+  Tensor out = Tensor::full(Shape{bsz, n, 6}, -1.0f);
+  float* o = out.data_f32();
+  const float inv_input = 1.0f / static_cast<float>(p.input_size);
+
+  for (int64_t b = 0; b < bsz; ++b) {
+    for (int64_t ai = 0; ai < a; ++ai) {
+      for (int64_t gy = 0; gy < gh; ++gy) {
+        for (int64_t gx = 0; gx < gw; ++gx) {
+          const int64_t base = (b * a + ai) * per_anchor * plane + gy * gw + gx;
+          auto ch = [&](int64_t c) { return at(base + c * plane); };
+          const float obj = yolo_sigmoid(ch(4));
+          // Best class.
+          int64_t best_c = 0;
+          float best = yolo_sigmoid(ch(5));
+          if (obj < p.conf_thresh && !std::isnan(best)) continue;
+          for (int64_t c = 1; c < p.num_classes; ++c) {
+            const float v = yolo_sigmoid(ch(5 + c));
+            if (v > best) {
+              best = v;
+              best_c = c;
+            }
+          }
+          const float score = obj * best;
+          if (score < p.conf_thresh) continue;
+          // Box decode: sigmoid offsets within the cell, exp-scaled anchors.
+          const float cx = (static_cast<float>(gx) + yolo_sigmoid(ch(0))) /
+                           static_cast<float>(gw);
+          const float cy = (static_cast<float>(gy) + yolo_sigmoid(ch(1))) /
+                           static_cast<float>(gh);
+          const float bw = p.anchors[static_cast<size_t>(ai)].first *
+                           std::exp(ch(2)) * inv_input * 0.5f;
+          const float bh = p.anchors[static_cast<size_t>(ai)].second *
+                           std::exp(ch(3)) * inv_input * 0.5f;
+          float* row = o + (b * n + (gy * gw + gx) * a + ai) * 6;
+          row[0] = static_cast<float>(best_c);
+          row[1] = score;
+          row[2] = cx - bw;
+          row[3] = cy - bh;
+          row[4] = cx + bw;
+          row[5] = cy + bh;
+        }
+      }
+    }
+  }
+  return out;
+}
+
+/// head: (B, A*(5+num_classes), H, W) raw activations; see yolo_decode_at().
 Tensor yolo_decode_reference(const Tensor& head, const YoloDecodeParams& p);
 
-/// GPU mapping: one work item per (cell, anchor), fully parallel.
+/// Charges the GPU decode of a head of shape `head`: one work item per
+/// (cell, anchor), fully parallel. The charge depends on the shape only.
+void charge_yolo_decode_gpu(sim::GpuSimulator& gpu, const Shape& head,
+                            const YoloDecodeParams& p);
+
+/// GPU mapping: the reference decode plus charge_yolo_decode_gpu().
 Tensor yolo_decode_gpu(sim::GpuSimulator& gpu, const Tensor& head,
                        const YoloDecodeParams& p);
 

@@ -86,6 +86,29 @@ TEST(Rng, UniformBounds) {
   }
 }
 
+// discard(n) then one draw is draw n+1 of a fresh generator: stepped for
+// small n, and for 2^40 (too many to step) composed from 2^20 jumps of 2^20
+// and checked against the counter form, a fresh generator seeded n steps on.
+TEST(Rng, DiscardJumpsAhead) {
+  constexpr uint64_t kSeed = 0x5eed;
+  constexpr uint64_t kGamma = 0x9e3779b97f4a7c15ull;
+  for (uint64_t n : {uint64_t{0}, uint64_t{1}, uint64_t{1} << 20}) {
+    Rng stepped(kSeed);
+    for (uint64_t i = 0; i < n; ++i) stepped.next_u64();
+    Rng jumped(kSeed);
+    jumped.discard(n);
+    EXPECT_EQ(jumped.next_u64(), stepped.next_u64()) << "n=" << n;
+  }
+  const uint64_t n = uint64_t{1} << 40;
+  Rng composed(kSeed);
+  for (int i = 0; i < (1 << 20); ++i) composed.discard(uint64_t{1} << 20);
+  Rng jumped(kSeed);
+  jumped.discard(n);
+  const uint64_t draw = jumped.next_u64();
+  EXPECT_EQ(draw, composed.next_u64());
+  EXPECT_EQ(draw, Rng(kSeed + n * kGamma).next_u64());
+}
+
 TEST(Rng, GaussianMoments) {
   Rng rng(99);
   double sum = 0.0, sq = 0.0;

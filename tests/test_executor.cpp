@@ -3,6 +3,7 @@
 // vision-op optimization switch.
 #include <gtest/gtest.h>
 
+#include <cstring>
 #include <map>
 
 #include "core/rng.h"
@@ -133,6 +134,14 @@ Graph nms_graph(int64_t n) {
   return g;
 }
 
+int64_t valid_rows(const Tensor& boxes) {
+  int64_t n = 0;
+  for (int64_t i = 0; i < boxes.shape()[1]; ++i) {
+    if (boxes.data_f32()[i * 6] >= 0.0f) ++n;
+  }
+  return n;
+}
+
 TEST(Executor, VisionOptimizationTogglesCostNotResult) {
   Graph g = nms_graph(4000);
   ExecOptions on;
@@ -156,11 +165,30 @@ TEST(Executor, CpuFallbackMatchesGpuNumerics) {
   }
   // Input is already host-side; no GPU section in this tiny graph, so no
   // copies are needed at all.
+  EXPECT_EQ(copies, 0);
   const ExecResult a = run(gpu_graph, PlatformId::kDeepLens, {}, 11);
   const ExecResult b = run(cpu_graph, PlatformId::kDeepLens, {}, 11);
   EXPECT_EQ(a.output.max_abs_diff(b.output), 0.0f);
   EXPECT_GT(b.latency_ms, 0.0);
-  (void)copies;
+}
+
+// A shapes-only run leaves an input unfilled only when nothing reads it.
+// box_nms reads its input's data with numerics on or off, so both runs
+// must suppress the same real candidates.
+TEST(Executor, ShapesOnlyInputReadByVisionOpIsStillFilled) {
+  Graph g = nms_graph(2000);
+  optimize(g);
+  ExecOptions numeric;
+  ExecOptions shapes;
+  shapes.compute_numerics = false;
+  const ExecResult a = run(g, PlatformId::kDeepLens, numeric, 13);
+  const ExecResult b = run(g, PlatformId::kDeepLens, shapes, 13);
+  ASSERT_EQ(a.output.shape(), b.output.shape());
+  EXPECT_EQ(std::memcmp(a.output.raw_data(), b.output.raw_data(),
+                        static_cast<size_t>(a.output.nbytes())),
+            0);
+  EXPECT_EQ(a.latency_ms, b.latency_ms);
+  EXPECT_GT(valid_rows(b.output), 0);
 }
 
 TEST(Executor, FallbackInsertsCopiesAroundGpuSections) {
@@ -207,6 +235,46 @@ TEST(Executor, YoloGraphEndToEnd) {
   const ExecResult r = run(m.graph, PlatformId::kAiSage, opts);
   EXPECT_EQ(r.output.shape()[2], 6);
   EXPECT_GT(r.vision_ms, 0.0);
+}
+
+/// FNV-1a over a tensor's bytes.
+uint64_t fnv1a(const Tensor& t) {
+  uint64_t h = 1469598103934665603ull;
+  const auto* p = static_cast<const unsigned char*>(t.raw_data());
+  for (int64_t i = 0; i < t.nbytes(); ++i) {
+    h ^= p[i];
+    h *= 1099511628211ull;
+  }
+  return h;
+}
+
+// Shapes-only detection runs synthesize their heads lazily and skip rows
+// that cannot pass their thresholds; the outputs must stay bit-identical to
+// filling and decoding every element. The pinned hashes were taken from the
+// eager implementation; a change to the synthetic distributions, the Rng
+// or the decodes that moves any output bit changes them.
+TEST(Executor, ShapesOnlyDetectionOutputsArePinned) {
+  ExecOptions opts;
+  opts.compute_numerics = false;
+  {
+    Rng rng(7);
+    models::Model m = models::build_ssd(rng, models::SsdBackbone::kMobileNet,
+                                        /*image_size=*/128);
+    optimize(m.graph, {OpKind::kSsdDetection});
+    const ExecResult r = run(m.graph, PlatformId::kJetsonNano, opts);
+    EXPECT_GT(valid_rows(r.output), 0);
+    EXPECT_EQ(fnv1a(r.output), 0xed58a63c8060e930ull)
+        << std::hex << fnv1a(r.output);
+  }
+  {
+    Rng rng(8);
+    models::Model m = models::build_yolov3(rng, /*image_size=*/128, 1, 20);
+    optimize(m.graph);
+    const ExecResult r = run(m.graph, PlatformId::kAiSage, opts);
+    EXPECT_GT(valid_rows(r.output), 0);
+    EXPECT_EQ(fnv1a(r.output), 0x836115e0051cf57full)
+        << std::hex << fnv1a(r.output);
+  }
 }
 
 TEST(Executor, LayoutBlocksChargeTransforms) {

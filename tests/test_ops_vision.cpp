@@ -5,9 +5,13 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cmath>
+#include <cstring>
+#include <limits>
 #include <numeric>
 
 #include "core/rng.h"
+#include "graph/synthetic.h"
 #include "ops/vision/nms.h"
 #include "ops/vision/prefix_sum.h"
 #include "ops/vision/roi_align.h"
@@ -25,6 +29,27 @@ using sim::SimClock;
 GpuSimulator make_gpu(SimClock& clock, PlatformId id = PlatformId::kDeepLens) {
   return GpuSimulator(sim::platform(id).gpu, clock);
 }
+
+/// Bit-for-bit equality, except that any two NaNs match.
+::testing::AssertionResult same_bits(const Tensor& a, const Tensor& b) {
+  if (a.shape() != b.shape()) {
+    return ::testing::AssertionFailure()
+           << a.shape().str() << " vs " << b.shape().str();
+  }
+  const float* x = a.data_f32();
+  const float* y = b.data_f32();
+  for (int64_t i = 0; i < a.numel(); ++i) {
+    if (std::isnan(x[i]) && std::isnan(y[i])) continue;
+    if (std::memcmp(&x[i], &y[i], sizeof(float)) != 0) {
+      return ::testing::AssertionFailure()
+             << "element " << i << ": " << x[i] << " vs " << y[i];
+    }
+  }
+  return ::testing::AssertionSuccess();
+}
+
+constexpr float kNan = std::numeric_limits<float>::quiet_NaN();
+constexpr float kInf = std::numeric_limits<float>::infinity();
 
 // ---- prefix sum ----------------------------------------------------------
 
@@ -387,6 +412,233 @@ TEST(MultiboxDetection, GpuMatchesReference) {
   EXPECT_GT(clock.total_ms(), 0.0);
 }
 
+// ---- SSD detection straight from heads --------------------------------------
+
+/// One SSD scale: class logits (B, A*C, H, W) and deltas (B, A*4, H, W).
+struct SsdHead {
+  Tensor cls;
+  Tensor loc;
+};
+
+/// The oracle, the executor's previous path: assemble (B, C, N) softmax
+/// probabilities and (B, N*4) deltas from the heads, then decode them with
+/// multibox_decode_reference.
+Tensor assemble_and_decode(const std::vector<SsdHead>& heads, int64_t c1,
+                           const Tensor& anchors,
+                           const MultiboxDetectionParams& p) {
+  const int64_t bsz = heads[0].cls.shape()[0];
+  const int64_t total = anchors.shape()[0];
+  Tensor cls_prob = Tensor::zeros(Shape{bsz, c1, total});
+  Tensor loc_pred = Tensor::zeros(Shape{bsz, total * 4});
+  int64_t anchor_off = 0;
+  for (const SsdHead& h : heads) {
+    const Shape& cs = h.cls.shape();
+    const int64_t a = cs[1] / c1;
+    const int64_t gh = cs[2];
+    const int64_t gw = cs[3];
+    const float* cp = h.cls.data_f32();
+    const float* lp = h.loc.data_f32();
+    for (int64_t b = 0; b < bsz; ++b) {
+      for (int64_t y = 0; y < gh; ++y) {
+        for (int64_t x = 0; x < gw; ++x) {
+          for (int64_t ai = 0; ai < a; ++ai) {
+            const int64_t anchor = anchor_off + ((y * gw + x) * a + ai);
+            float maxv = -1e30f;
+            for (int64_t c = 0; c < c1; ++c) {
+              maxv = std::max(maxv,
+                              cp[((b * a * c1 + ai * c1 + c) * gh + y) * gw + x]);
+            }
+            double sum = 0.0;
+            for (int64_t c = 0; c < c1; ++c) {
+              sum += std::exp(
+                  cp[((b * a * c1 + ai * c1 + c) * gh + y) * gw + x] - maxv);
+            }
+            for (int64_t c = 0; c < c1; ++c) {
+              const float e = std::exp(
+                  cp[((b * a * c1 + ai * c1 + c) * gh + y) * gw + x] - maxv);
+              cls_prob.data_f32()[(b * c1 + c) * total + anchor] =
+                  static_cast<float>(e / sum);
+            }
+            for (int64_t d = 0; d < 4; ++d) {
+              loc_pred.data_f32()[b * total * 4 + anchor * 4 + d] =
+                  lp[((b * a * 4 + ai * 4 + d) * gh + y) * gw + x];
+            }
+          }
+        }
+      }
+    }
+    anchor_off += a * gh * gw;
+  }
+  EXPECT_EQ(anchor_off, total);
+  return multibox_decode_reference(cls_prob, loc_pred, anchors, p);
+}
+
+std::vector<SsdHeadView> views_of(const std::vector<SsdHead>& heads,
+                                  int64_t c1) {
+  std::vector<SsdHeadView> views;
+  for (const SsdHead& h : heads) {
+    SsdHeadView v;
+    v.cls = h.cls.data_f32();
+    const float* lp = h.loc.data_f32();
+    v.loc = [lp](int64_t i) { return lp[i]; };
+    v.anchors_per_cell = h.cls.shape()[1] / c1;
+    v.height = h.cls.shape()[2];
+    v.width = h.cls.shape()[3];
+    views.push_back(std::move(v));
+  }
+  return views;
+}
+
+Tensor random_anchors(int64_t n, Rng& rng) {
+  Tensor t(Shape{n, 4}, DType::kFloat32);
+  for (int64_t i = 0; i < n; ++i) {
+    float* a = t.data_f32() + i * 4;
+    a[0] = rng.next_float(0.0f, 0.7f);
+    a[1] = rng.next_float(0.0f, 0.7f);
+    a[2] = a[0] + rng.next_float(0.05f, 0.3f);
+    a[3] = a[1] + rng.next_float(0.05f, 0.3f);
+  }
+  return t;
+}
+
+int64_t valid_rows(const Tensor& boxes) {
+  int64_t n = 0;
+  for (int64_t i = 0; i < boxes.numel() / 6; ++i) {
+    if (!(boxes.data_f32()[i * 6] < 0.0f)) ++n;
+  }
+  return n;
+}
+
+/// (anchors per cell, height, width) of each scale of a small SSD.
+struct Scale {
+  int64_t a, h, w;
+};
+const std::vector<Scale> kSsdScales = {{4, 8, 8}, {6, 4, 4}, {4, 2, 2}};
+
+int64_t total_anchors(const std::vector<Scale>& scales) {
+  int64_t n = 0;
+  for (const Scale& s : scales) n += s.a * s.h * s.w;
+  return n;
+}
+
+// The executor's shapes-only recipe: class logits synthesized in full,
+// deltas produced on demand by jumping the Rng, against heads filled in
+// order from the same seed.
+TEST(SsdDecodeHeads, MatchesAssemblyOnSynthesizedHeads) {
+  const int64_t c1 = 21;
+  const int64_t bsz = 2;
+  const Tensor anchors = [&] {
+    Rng rng(5);
+    return random_anchors(total_anchors(kSsdScales), rng);
+  }();
+  for (uint64_t seed : {1ull, 2ull, 0xbe5cull}) {
+    Rng eager(seed);
+    std::vector<SsdHead> heads;
+    for (const Scale& s : kSsdScales) {
+      SsdHead h;
+      h.cls = graph::synthesize_ssd_cls(Shape{bsz, s.a * c1, s.h, s.w}, c1,
+                                        eager);
+      h.loc = Tensor::random_normal(Shape{bsz, s.a * 4, s.h, s.w}, eager, 0.3f);
+      heads.push_back(std::move(h));
+    }
+    Rng lazy(seed);
+    std::vector<Tensor> cls;
+    std::vector<SsdHeadView> views;
+    for (size_t i = 0; i < kSsdScales.size(); ++i) {
+      const Scale& s = kSsdScales[i];
+      cls.push_back(graph::synthesize_ssd_cls(Shape{bsz, s.a * c1, s.h, s.w},
+                                              c1, lazy));
+      SsdHeadView v;
+      v.cls = cls.back().data_f32();
+      v.loc = graph::SyntheticNormal(lazy, 0.3f);
+      const int64_t deltas = bsz * s.a * 4 * s.h * s.w;
+      lazy.discard(2 * static_cast<uint64_t>(deltas));
+      v.anchors_per_cell = s.a;
+      v.height = s.h;
+      v.width = s.w;
+      EXPECT_TRUE(same_bits(cls.back(), heads[i].cls));
+      for (int64_t j = 0; j < deltas; ++j) {
+        ASSERT_EQ(v.loc(j), heads[i].loc.data_f32()[j]) << "delta " << j;
+      }
+      views.push_back(std::move(v));
+    }
+    for (float thresh : {0.0f, 0.01f, 0.5f}) {
+      MultiboxDetectionParams p;
+      p.nms.valid_thresh = thresh;
+      const Tensor want = assemble_and_decode(heads, c1, anchors, p);
+      EXPECT_TRUE(same_bits(ssd_decode_heads(views, bsz, c1, anchors, p), want))
+          << "seed " << seed << " valid_thresh " << thresh;
+      if (thresh == 0.01f) {
+        EXPECT_GT(valid_rows(want), 0);
+      }
+    }
+  }
+}
+
+// Logits that break the skip bound's premises must run the full softmax:
+// NaN, +-inf, anchors whose every logit lies below the running max's
+// initial -1e30f, tied classes, and thresholds of 0, 1 and NaN.
+TEST(SsdDecodeHeads, MatchesAssemblyOnAdversarialLogits) {
+  const int64_t c1 = 5;
+  const int64_t bsz = 2;
+  const std::vector<Scale> scales = {{3, 6, 5}, {2, 3, 3}};
+  const float specials[] = {kNan, kInf, -kInf, 3e38f, -3e38f, -2e30f,
+                            -1e30f, 0.0f, -0.0f};
+  Rng rng(77);
+  const Tensor anchors = random_anchors(total_anchors(scales), rng);
+  for (int trial = 0; trial < 20; ++trial) {
+    std::vector<SsdHead> heads;
+    for (const Scale& s : scales) {
+      SsdHead h;
+      h.cls = Tensor::random_normal(Shape{bsz, s.a * c1, s.h, s.w}, rng, 4.0f);
+      h.loc = Tensor::random_normal(Shape{bsz, s.a * 4, s.h, s.w}, rng, 0.3f);
+      const int64_t plane = s.h * s.w;
+      for (int64_t b = 0; b < bsz; ++b) {
+        for (int64_t ai = 0; ai < s.a; ++ai) {
+          for (int64_t cell = 0; cell < plane; ++cell) {
+            auto logit = [&](int64_t c) -> float& {
+              return h.cls.data_f32()[((b * s.a + ai) * c1 + c) * plane + cell];
+            };
+            switch (rng.next_below(6)) {
+              case 0:  // one special logit
+                logit(static_cast<int64_t>(rng.next_below(c1))) =
+                    specials[rng.next_below(std::size(specials))];
+                break;
+              case 1:  // every logit below -1e30f
+                for (int64_t c = 0; c < c1; ++c) {
+                  logit(c) = rng.next_float(-3e38f, -1.5e30f);
+                }
+                break;
+              case 2: {  // all classes tied
+                const float v = rng.next_float(-5.0f, 5.0f);
+                for (int64_t c = 0; c < c1; ++c) logit(c) = v;
+                break;
+              }
+              case 3:  // two foreground classes tied for best
+                logit(1) = logit(3) = rng.next_float(-1.0f, 8.0f);
+                break;
+              case 4:  // background dominates: the bound decides
+                logit(0) = rng.next_float(4.0f, 12.0f);
+                break;
+              default:
+                break;
+            }
+          }
+        }
+      }
+      heads.push_back(std::move(h));
+    }
+    const std::vector<SsdHeadView> views = views_of(heads, c1);
+    for (float thresh : {0.0f, 0.01f, 0.2f, 1.0f, -0.5f, kNan}) {
+      MultiboxDetectionParams p;
+      p.nms.valid_thresh = thresh;
+      EXPECT_TRUE(same_bits(ssd_decode_heads(views, bsz, c1, anchors, p),
+                            assemble_and_decode(heads, c1, anchors, p)))
+          << "trial " << trial << " valid_thresh " << thresh;
+    }
+  }
+}
+
 // ---- ROIAlign ---------------------------------------------------------------
 
 TEST(RoiAlign, ConstantFeatureGivesConstantOutput) {
@@ -472,6 +724,146 @@ TEST(YoloDecode, GpuMatchesReference) {
   SimClock clock;
   GpuSimulator gpu = make_gpu(clock, PlatformId::kJetsonNano);
   EXPECT_EQ(yolo_decode_gpu(gpu, head, p).max_abs_diff(expected), 0.0f);
+}
+
+/// The oracle, the decode before its early exit: every class sigmoid of
+/// every (cell, anchor), then the threshold test.
+Tensor yolo_decode_full(const Tensor& head, const YoloDecodeParams& p) {
+  auto sigmoid = [](float x) { return 1.0f / (1.0f + std::exp(-x)); };
+  const int64_t bsz = head.shape()[0];
+  const int64_t a = static_cast<int64_t>(p.anchors.size());
+  const int64_t per_anchor = 5 + p.num_classes;
+  const int64_t gh = head.shape()[2];
+  const int64_t gw = head.shape()[3];
+  const int64_t n = gh * gw * a;
+  Tensor out = Tensor::full(Shape{bsz, n, 6}, -1.0f);
+  const float* in = head.data_f32();
+  float* o = out.data_f32();
+  const float inv_input = 1.0f / static_cast<float>(p.input_size);
+  for (int64_t b = 0; b < bsz; ++b) {
+    for (int64_t ai = 0; ai < a; ++ai) {
+      for (int64_t gy = 0; gy < gh; ++gy) {
+        for (int64_t gx = 0; gx < gw; ++gx) {
+          auto at = [&](int64_t ch) {
+            return in[((b * a * per_anchor + ai * per_anchor + ch) * gh + gy) *
+                          gw +
+                      gx];
+          };
+          const float obj = sigmoid(at(4));
+          int64_t best_c = 0;
+          float best = sigmoid(at(5));
+          for (int64_t c = 1; c < p.num_classes; ++c) {
+            const float v = sigmoid(at(5 + c));
+            if (v > best) {
+              best = v;
+              best_c = c;
+            }
+          }
+          const float score = obj * best;
+          const int64_t row_idx = (gy * gw + gx) * a + ai;
+          float* row = o + (b * n + row_idx) * 6;
+          if (score < p.conf_thresh) continue;
+          const float cx = (static_cast<float>(gx) + sigmoid(at(0))) /
+                           static_cast<float>(gw);
+          const float cy = (static_cast<float>(gy) + sigmoid(at(1))) /
+                           static_cast<float>(gh);
+          const float bw = p.anchors[static_cast<size_t>(ai)].first *
+                           std::exp(at(2)) * inv_input * 0.5f;
+          const float bh = p.anchors[static_cast<size_t>(ai)].second *
+                           std::exp(at(3)) * inv_input * 0.5f;
+          row[0] = static_cast<float>(best_c);
+          row[1] = score;
+          row[2] = cx - bw;
+          row[3] = cy - bh;
+          row[4] = cx + bw;
+          row[5] = cy + bh;
+        }
+      }
+    }
+  }
+  return out;
+}
+
+/// The oracle for lazy synthesis: the eager in-order fill the executor used
+/// to run before decoding.
+Tensor synthesize_yolo_head_eager(const Shape& shape, Rng& rng) {
+  Tensor t(shape, DType::kFloat32);
+  for (float& v : t.span_f32()) {
+    v = rng.next_double() < 0.01 ? rng.next_float(0.0f, 2.0f)
+                                 : rng.next_float(-8.0f, -4.0f);
+  }
+  return t;
+}
+
+YoloDecodeParams small_yolo() {
+  YoloDecodeParams p;
+  p.num_classes = 6;
+  p.anchors = {{10, 13}, {16, 30}, {33, 23}};
+  p.input_size = 128;
+  return p;
+}
+
+// Objectness on both sides of conf_thresh, and NaN / +-inf in objectness,
+// class 0 and the other classes, at thresholds 0 through 1.
+TEST(YoloDecode, EarlyExitMatchesFullDecode) {
+  YoloDecodeParams p = small_yolo();
+  const int64_t per_anchor = 5 + p.num_classes;
+  const Shape shape{2, 3 * per_anchor, 5, 4};
+  const int64_t plane = 5 * 4;
+  const float specials[] = {kNan, kInf, -kInf};
+  Rng rng(91);
+  for (int trial = 0; trial < 10; ++trial) {
+    Tensor head = Tensor::random_normal(shape, rng, 3.0f);
+    for (int64_t row = 0; row < 2 * 3 * plane; ++row) {
+      if (rng.next_double() >= 0.3) continue;
+      // (b * A + a) * per_anchor * plane + cell addresses channel 0.
+      const int64_t base = (row / plane) * per_anchor * plane + row % plane;
+      const int64_t ch = rng.next_below(2) == 0
+                             ? 4 + static_cast<int64_t>(rng.next_below(2))
+                             : static_cast<int64_t>(rng.next_below(per_anchor));
+      head.data_f32()[base + ch * plane] =
+          specials[rng.next_below(std::size(specials))];
+    }
+    for (float thresh : {0.0f, 0.01f, 0.3f, 0.7f, 1.0f}) {
+      p.conf_thresh = thresh;
+      EXPECT_TRUE(
+          same_bits(yolo_decode_reference(head, p), yolo_decode_full(head, p)))
+          << "trial " << trial << " conf_thresh " << thresh;
+    }
+  }
+}
+
+// A NaN class-0 logit makes the score NaN whatever the objectness, and the
+// threshold comparison keeps the row; the early exit must not drop it.
+TEST(YoloDecode, NanClassZeroKeepsLowObjectnessRow) {
+  YoloDecodeParams p = small_yolo();
+  p.anchors = {{16, 16}};
+  Tensor head = Tensor::zeros(Shape{1, 5 + p.num_classes, 1, 1});
+  head.data_f32()[4] = -10.0f;  // sigmoid ~ 4.5e-5, far below 0.01
+  head.data_f32()[5] = kNan;    // class 0
+  const Tensor out = yolo_decode_reference(head, p);
+  EXPECT_TRUE(same_bits(out, yolo_decode_full(head, p)));
+  EXPECT_EQ(out.data_f32()[0], 0.0f);
+  EXPECT_TRUE(std::isnan(out.data_f32()[1]));
+}
+
+TEST(YoloDecode, LazySyntheticHeadMatchesEagerFill) {
+  YoloDecodeParams p;
+  p.num_classes = 80;
+  p.anchors = {{10, 13}, {16, 30}, {33, 23}};
+  p.input_size = 416;
+  const Shape shape{1, 3 * 85, 13, 13};
+  for (uint64_t seed : {1ull, 0x5eedull}) {
+    Rng rng(seed);
+    const Tensor eager = synthesize_yolo_head_eager(shape, rng);
+    const graph::SyntheticYoloHead lazy{Rng(seed)};
+    for (int64_t i = 0; i < shape.numel(); ++i) {
+      ASSERT_EQ(lazy(i), eager.data_f32()[i]) << "element " << i;
+    }
+    const Tensor want = yolo_decode_full(eager, p);
+    EXPECT_TRUE(same_bits(yolo_decode_at(shape, lazy, p), want));
+    EXPECT_GT(valid_rows(want), 0);
+  }
 }
 
 }  // namespace

@@ -9,13 +9,13 @@
 //
 // Observability: --trace writes a Chrome trace-event JSON of the inference
 // (open in chrome://tracing or https://ui.perfetto.dev — one track per
-// simulated lane plus the host scheduler threads, plus counter tracks for
-// occupancy/GFLOPS/GB/s), --report prints the per-layer breakdown derived
-// from the same trace, --counters prints the per-op simulated hardware
-// counter table, --roofline prints the roofline attribution report,
-// --tune-journal records every tuning trial to a JSONL flight-recorder
-// file, and --metrics writes a JSON snapshot of the process-wide metrics
-// registry.
+// simulated lane plus the host thread that ran the nodes, plus counter
+// tracks for occupancy/GFLOPS/GB/s), --report prints the per-layer
+// breakdown derived from the same trace, --counters prints the per-op
+// simulated hardware counter table, --roofline prints the roofline
+// attribution report, --tune-journal records every tuning trial to a JSONL
+// flight-recorder file, and --metrics writes a JSON snapshot of the
+// process-wide metrics registry.
 #include <algorithm>
 #include <chrono>
 #include <cstdio>
@@ -111,7 +111,8 @@ void usage(const char* argv0, std::FILE* out) {
       "  --dump-graph-after NAME dump the graph after one pass\n"
       "  --save-db PATH / --load-db PATH   persist / warm the TuneDb\n"
       "execution flags:\n"
-      "  --wavefront             wavefront executor (default sequential)\n"
+      "  --wavefront             report the per-lane critical-path latency\n"
+      "                          (default: the serial sum)\n"
       "  --arena                 the model's persistent arena (default: a\n"
       "                          per-call arena over the same plan)\n"
       "observability flags:\n"

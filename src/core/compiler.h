@@ -141,8 +141,9 @@ struct RunOptions {
   /// Off propagates shapes and synthetic detection data only (fast for
   /// full-size models).
   bool compute_numerics = true;
-  /// kWavefront dispatches independent nodes concurrently and reports the
-  /// per-lane critical-path latency instead of the serial sum.
+  /// The time model latency_ms reports: kWavefront reports the per-lane
+  /// critical path instead of the serial sum. Nodes run in order on the
+  /// calling thread either way.
   graph::ExecMode mode = graph::ExecMode::kSequential;
   /// Which arena holds the intermediate tensors. On: the model's persistent
   /// arena, whose private pool keeps page runs cached across calls, so

@@ -1,6 +1,7 @@
 #include "core/thread_pool.h"
 
 #include <algorithm>
+#include <exception>
 
 #include "core/error.h"
 
@@ -102,53 +103,6 @@ void ThreadPool::parallel_for(int64_t n, const std::function<void(int64_t)>& fn)
 ThreadPool& ThreadPool::global() {
   static ThreadPool pool;
   return pool;
-}
-
-ThreadPool& ThreadPool::scheduler() {
-  static ThreadPool pool;
-  return pool;
-}
-
-TaskGroup::~TaskGroup() {
-  std::unique_lock<std::mutex> lock(mu_);
-  cv_.wait(lock, [this] { return pending_ == 0; });
-}
-
-void TaskGroup::run(std::function<void()> fn) {
-  {
-    std::lock_guard<std::mutex> lock(mu_);
-    ++pending_;
-  }
-  pool_.submit([this, fn = std::move(fn)] {
-    std::exception_ptr err;
-    try {
-      fn();
-    } catch (...) {
-      err = std::current_exception();
-    }
-    std::lock_guard<std::mutex> lock(mu_);
-    if (err) {
-      failed_ = true;
-      if (!error_) error_ = err;
-    }
-    if (--pending_ == 0) cv_.notify_all();
-  });
-}
-
-void TaskGroup::wait() {
-  std::unique_lock<std::mutex> lock(mu_);
-  cv_.wait(lock, [this] { return pending_ == 0; });
-  if (error_) {
-    std::exception_ptr err = error_;
-    error_ = nullptr;
-    lock.unlock();
-    std::rethrow_exception(err);
-  }
-}
-
-bool TaskGroup::failed() const {
-  std::lock_guard<std::mutex> lock(mu_);
-  return failed_;
 }
 
 }  // namespace igc

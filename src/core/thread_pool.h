@@ -1,19 +1,15 @@
-// A small fixed-size thread pool with a blocking parallel_for and fire-and-
-// collect task groups.
+// A small fixed-size thread pool with a blocking parallel_for.
 //
-// Two process-wide pools exist:
-//   * ThreadPool::global()    — fine-grained data parallelism (the GPU
-//     simulator's work-groups, reference kernels);
-//   * ThreadPool::scheduler() — coarse graph-node tasks from the wavefront
-//     executor. Keeping them separate lets a node task fan data-parallel
-//     work out onto global() without the two levels deadlocking on each
-//     other's workers.
+// One process-wide pool, ThreadPool::global(), carries the data parallelism
+// inside a node: the GPU simulator's work-groups and the JIT's kernel grid.
+// Graph nodes themselves run one after another on the thread that called
+// run(); concurrency between runs comes from their callers (the serving
+// engine's workers), not from this pool.
 #pragma once
 
 #include <condition_variable>
 #include <cstdint>
 #include <deque>
-#include <exception>
 #include <functional>
 #include <mutex>
 #include <thread>
@@ -38,10 +34,6 @@ class ThreadPool {
   /// degrade to inline execution instead.
   bool on_worker_thread() const;
 
-  /// Enqueues one task; returns immediately. Safe to call from any thread,
-  /// including this pool's own workers (the task just queues behind others).
-  void submit(std::function<void()> fn);
-
   /// Runs fn(i) for i in [0, n), distributing contiguous chunks over the
   /// workers, and blocks until all iterations complete. Exceptions thrown by
   /// fn propagate to the caller (first one wins). Every chunk task has fully
@@ -51,14 +43,14 @@ class ThreadPool {
 
   /// Process-wide shared pool for data-parallel kernels.
   static ThreadPool& global();
-  /// Process-wide shared pool for coarse graph-node tasks.
-  static ThreadPool& scheduler();
 
  private:
   struct Task {
     std::function<void()> fn;
   };
 
+  /// Enqueues one task; returns immediately.
+  void submit(std::function<void()> fn);
   void worker_loop();
 
   std::vector<std::thread> workers_;
@@ -66,36 +58,6 @@ class ThreadPool {
   std::mutex mu_;
   std::condition_variable cv_;
   bool shutting_down_ = false;
-};
-
-/// Tracks a dynamic set of tasks submitted to a pool and joins them.
-///
-/// run() may be called concurrently, including from inside a running task
-/// (tasks spawning successor tasks is the wavefront executor's dispatch
-/// pattern). wait() blocks until every submitted task has finished and
-/// rethrows the first exception any task threw. The destructor waits (without
-/// rethrowing) so tasks never outlive captured state.
-class TaskGroup {
- public:
-  explicit TaskGroup(ThreadPool& pool) : pool_(pool) {}
-  ~TaskGroup();
-
-  TaskGroup(const TaskGroup&) = delete;
-  TaskGroup& operator=(const TaskGroup&) = delete;
-
-  void run(std::function<void()> fn);
-  void wait();
-  /// True once any task has thrown (sticky). Lets spawners stop scheduling
-  /// follow-up work early.
-  bool failed() const;
-
- private:
-  ThreadPool& pool_;
-  mutable std::mutex mu_;
-  std::condition_variable cv_;
-  int64_t pending_ = 0;
-  std::exception_ptr error_;  // consumed by the wait() that rethrows it
-  bool failed_ = false;       // sticky even after the error is consumed
 };
 
 }  // namespace igc

@@ -1,13 +1,11 @@
 #include "graph/executor.h"
 
 #include <algorithm>
-#include <atomic>
 #include <chrono>
 #include <cmath>
 #include <cstring>
 #include <functional>
 #include <optional>
-#include <set>
 #include <thread>
 
 #include "codegen/jit.h"
@@ -35,10 +33,10 @@ struct Value {
   int arena_buffer = -1;  // arena buffer id backing this value, -1 if none
 };
 
-/// Everything one node's execution touches that must not be shared between
-/// concurrently running nodes: its simulated clock/GPU and its private Rng.
-/// The Rng is seeded from (run seed, node name) so synthetic data is
-/// identical no matter which dispatch mode or host interleaving ran the node.
+/// Everything one node's execution charges and draws from: its own simulated
+/// clock/GPU, whose charges finalize() merges into both time models, and its
+/// private Rng. The Rng is seeded from (run seed, node name) so a node's
+/// synthetic data does not depend on which nodes ran before it.
 struct NodeCtx {
   sim::SimClock clock;
   sim::GpuSimulator gpu;
@@ -49,9 +47,7 @@ struct NodeCtx {
 };
 
 /// The simulated cost and trace of one node, merged after dispatch. The
-/// host_* fields are only filled on traced runs: they are written by the
-/// thread that executed the node (into its private NodeRun slot) and read in
-/// the single-threaded post-run merge.
+/// host_* fields are only filled on traced runs.
 struct NodeRun {
   double ms = 0.0;
   std::vector<sim::ClockEvent> events;
@@ -132,15 +128,12 @@ class ExecutorImpl {
     }
 
     try {
-      // A nested execute() from a scheduler worker (a model run inside a
-      // node task) must not block on its own pool: degrade to sequential
-      // dispatch. Simulated timing is unaffected — it is derived from the
-      // per-node charges, not from how the host interleaved them.
-      if (opts_.mode == ExecMode::kWavefront &&
-          !ThreadPool::scheduler().on_worker_thread()) {
-        run_wavefront();
-      } else {
-        run_sequential();
+      // Every live node runs in id (topological) order on the calling
+      // thread; the mode only picks which time model finalize() reports.
+      for (const Node& n : g_.nodes()) {
+        if (!live(n.id)) continue;
+        node_runs_[static_cast<size_t>(n.id)] = exec_one(n);
+        on_node_done(n);
       }
     } catch (...) {
       release_all_arena();
@@ -234,116 +227,6 @@ class ExecutorImpl {
 
   // ----- dispatch ---------------------------------------------------------
 
-  void run_sequential() {
-    for (const Node& n : g_.nodes()) {
-      if (!live(n.id)) continue;
-      node_runs_[static_cast<size_t>(n.id)] = exec_one(n);
-      on_node_done(n);
-    }
-  }
-
-  void run_wavefront() {
-    const size_t n_nodes = static_cast<size_t>(g_.num_nodes());
-    // Dependency edges: data inputs, plus anti-dependency edges for recycled
-    // buffers — the next holder of a planned buffer must not start before
-    // the previous holder and all of its readers have finished.
-    std::vector<std::set<int>> deps(n_nodes);
-    for (const Node& n : g_.nodes()) {
-      if (!live(n.id)) continue;
-      for (int in : n.inputs) deps[static_cast<size_t>(n.id)].insert(in);
-    }
-    add_anti_deps(deps);
-
-    std::vector<int> indeg(n_nodes, 0);
-    std::vector<std::vector<int>> succ(n_nodes);
-    std::vector<int> roots;
-    for (const Node& n : g_.nodes()) {
-      if (!live(n.id)) continue;
-      indeg[static_cast<size_t>(n.id)] =
-          static_cast<int>(deps[static_cast<size_t>(n.id)].size());
-      if (deps[static_cast<size_t>(n.id)].empty()) roots.push_back(n.id);
-      for (int d : deps[static_cast<size_t>(n.id)]) {
-        succ[static_cast<size_t>(d)].push_back(n.id);
-      }
-    }
-
-    TaskGroup group(ThreadPool::scheduler());
-    // Ready-queue depth: tasks spawned (dependencies resolved) but not yet
-    // finished. The peak is a host-scheduling observable, not part of the
-    // deterministic time model, so it lives in the metrics registry only.
-    std::atomic<int> ready_depth{0};
-    std::atomic<int> ready_peak{0};
-    auto note_spawn = [&] {
-      const int d = ready_depth.fetch_add(1, std::memory_order_relaxed) + 1;
-      int peak = ready_peak.load(std::memory_order_relaxed);
-      while (d > peak && !ready_peak.compare_exchange_weak(
-                             peak, d, std::memory_order_relaxed)) {
-      }
-    };
-    // Spawns are only issued while holding sched_mu_ (or before any task
-    // runs), and group.wait() joins every task before the locals above go out
-    // of scope, so the reference captures below are safe.
-    std::function<void(int)> spawn = [&](int id) {
-      note_spawn();
-      group.run([this, &group, &succ, &indeg, &spawn, &ready_depth, id] {
-        const Node& n = g_.node(id);
-        NodeRun r = exec_one(n);
-        std::lock_guard<std::mutex> lock(sched_mu_);
-        node_runs_[static_cast<size_t>(id)] = std::move(r);
-        on_node_done(n);
-        ready_depth.fetch_sub(1, std::memory_order_relaxed);
-        if (group.failed()) return;  // stop fanning out after an error
-        for (int s : succ[static_cast<size_t>(id)]) {
-          if (--indeg[static_cast<size_t>(s)] == 0) spawn(s);
-        }
-      });
-    };
-    // Roots were snapshotted before anything ran: re-reading indeg here
-    // would race with finishing tasks and could spawn a node twice.
-    for (int id : roots) spawn(id);
-    group.wait();
-    const int peak = ready_peak.load(std::memory_order_relaxed);
-    auto& reg = obs::MetricsRegistry::global();
-    reg.gauge("exec.ready_queue_peak").update_max(peak);
-  }
-
-  /// Anti-dependency edges derived from the memory plan's buffer holders
-  /// (execution order). The planner assigns buffers walking nodes in id
-  /// order and recycles a buffer only after the previous holder's last
-  /// consumer, so every edge points to a higher id and the graph stays
-  /// acyclic.
-  void add_anti_deps(std::vector<std::set<int>>& deps) const {
-    std::vector<std::vector<int>> consumers(
-        static_cast<size_t>(g_.num_nodes()));
-    for (const Node& n : g_.nodes()) {
-      if (!live(n.id)) continue;
-      for (int in : n.inputs) consumers[static_cast<size_t>(in)].push_back(n.id);
-    }
-    // A caller-built plan whose holder lists disagree with buffer_of_node
-    // would index out of range or wait on a node that never runs.
-    auto holds = [&](int id, size_t buf) {
-      return id >= 0 && id < g_.num_nodes() && live(id) &&
-             plan_->buffer_of_node[static_cast<size_t>(id)] ==
-                 static_cast<int>(buf);
-    };
-    for (size_t buf = 0; buf < plan_->buffer_holders.size(); ++buf) {
-      const std::vector<int>& hs = plan_->buffer_holders[buf];
-      for (size_t i = 0; i + 1 < hs.size(); ++i) {
-        const int prev = hs[i];
-        const int next = hs[i + 1];
-        IGC_CHECK(holds(prev, buf) && holds(next, buf))
-            << "memory plan's holders of buffer " << buf
-            << " disagree with buffer_of_node";
-        deps[static_cast<size_t>(next)].insert(prev);
-        for (int c : consumers[static_cast<size_t>(prev)]) {
-          IGC_CHECK_LT(c, next) << "memory plan reuses buffer " << buf
-                                << " before its last consumer";
-          deps[static_cast<size_t>(next)].insert(c);
-        }
-      }
-    }
-  }
-
   NodeRun exec_one(const Node& n) {
     const bool traced = opts_.trace != nullptr;
     NodeRun r;
@@ -371,10 +254,7 @@ class ExecutorImpl {
   }
 
   /// Post-execution bookkeeping for one node: eager release of inputs whose
-  /// last consumer just ran. Called inline in sequential dispatch and under
-  /// sched_mu_ in wavefront dispatch; releases happen before successors are
-  /// spawned, which is what makes the anti-dependency edges sufficient for
-  /// safe concurrent buffer reuse.
+  /// last consumer just ran.
   void on_node_done(const Node& n) {
     for (int in : n.inputs) {
       if (--pending_[static_cast<size_t>(in)] == 0 && in != g_.output()) {
@@ -397,11 +277,10 @@ class ExecutorImpl {
   ExecResult finalize() {
     ExecResult result;
     // Simulated time, merged deterministically from the per-node charges in
-    // topological id order: the serial sum models the sequential executor's
-    // single in-order queue; the lane schedule models the wavefront executor
-    // (per-device engines running independent nodes concurrently). Trace
-    // spans are recorded here, from the same deterministic merge — never
-    // from concurrently running node tasks.
+    // topological id order: the serial sum models one in-order queue
+    // (kSequential); the lane schedule models per-device engines running
+    // independent nodes concurrently (kWavefront). Trace spans are recorded
+    // here, from the same merge.
     double serial = 0.0;
     sim::LaneSchedule lanes;
     size_t total_events = 0;
@@ -1193,10 +1072,6 @@ class ExecutorImpl {
   std::optional<BufferArena> local_arena_;
   const MemoryPlan* plan_ = nullptr;
   BufferArena* arena_ = nullptr;
-
-  // Guards pending_/indegree bookkeeping and value release under wavefront
-  // dispatch.
-  std::mutex sched_mu_;
 
   /// Host wall-clock reference for trace dispatch times (traced runs only).
   std::chrono::steady_clock::time_point run_epoch_{};

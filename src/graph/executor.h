@@ -1,21 +1,22 @@
 // The heterogeneous graph executor.
 //
-// Runs an optimized graph against a simulated platform in one of two
-// dispatch modes:
+// Runs an optimized graph against a simulated platform. Every run walks its
+// live nodes in id (topological) order on the calling thread; data
+// parallelism lives inside a node (the JIT's grid split and the simulator's
+// work-groups over ThreadPool::global()). Each run computes two simulated
+// time models from the same per-node charges, and ExecMode picks which one
+// it reports as its latency:
 //
-//   * kSequential — walks nodes in topological order on the calling thread.
-//     Simulated latency is the serial sum of every kernel charge (one
-//     in-order queue, the paper's baseline executor).
-//   * kWavefront  — dispatches every node whose dependencies have resolved
-//     onto the scheduler thread pool, so independent branches (Inception
-//     limbs, SSD/YOLO heads) and CPU-fallback operators execute concurrently
-//     with GPU work on the host. Simulated latency is the critical-path
-//     makespan of a deterministic per-lane schedule (GPU queue, companion
-//     CPU, copy engine — see sim::LaneSchedule), not the serial sum.
+//   * kSequential — the serial sum of every kernel charge (one in-order
+//     queue, the paper's baseline executor).
+//   * kWavefront  — the critical-path makespan of a deterministic per-lane
+//     schedule (GPU queue, companion CPU, copy engine — see
+//     sim::LaneSchedule), where independent branches (Inception limbs,
+//     SSD/YOLO heads) and CPU-fallback operators overlap GPU work.
 //
-// Both modes produce bit-identical outputs: every node draws its synthetic
-// data from a private Rng seeded from (input seed, node name), so numerics
-// never depend on dispatch order or on which nodes run concurrently.
+// Outputs, ClockEvents and counters are therefore identical in both modes.
+// Every node draws its synthetic data from a private Rng seeded from (input
+// seed, node name), so its numerics do not depend on which nodes ran before.
 //
 // Each conv runs the schedule compiled onto its node (Node::schedule, whose
 // layout_block knob is its activation layout); the executor never consults a
@@ -26,9 +27,7 @@
 // and releases it after its last consumer, so buffers are recycled across
 // nodes within a run and, when the caller keeps the arena (CompiledModel
 // does), across repeated runs — steady-state serving then performs no
-// intermediate heap allocations for node outputs. Under wavefront dispatch,
-// anti-dependency edges derived from the plan keep a reused buffer from
-// being acquired while a concurrent node still reads its previous contents.
+// intermediate heap allocations for node outputs.
 //
 // Two execution modes for numerics:
 //   * numerics on  — every operator computes its real output (tests,
@@ -85,7 +84,8 @@ struct ExecOptions {
   /// Sec. 3.1 optimizations on vision ops; off = Table 4 "Before".
   bool optimized_vision_ops = true;
 
-  /// Dispatch mode (see file comment). Outputs are identical either way.
+  /// Time model reported as ExecResult::latency_ms (see file comment). The
+  /// dispatch, outputs and every other result field are the same either way.
   ExecMode mode = ExecMode::kSequential;
   /// The arena node outputs live in and the memory plan it was sized from.
   /// Both or neither (validated at execute() entry): with neither, the run
@@ -105,20 +105,20 @@ struct ExecOptions {
   /// When set, one TraceSpan per executed node is appended to this recorder
   /// (simulated lane windows, host dispatch times, category, shapes, bytes,
   /// chosen conv schedule). Spans are recorded in the deterministic post-run
-  /// merge, so tracing never perturbs outputs or wavefront scheduling. The
+  /// merge, so tracing never perturbs outputs or simulated times. The
   /// recorder must outlive the run; concurrent runs must not share one.
   obs::TraceRecorder* trace = nullptr;
 };
 
 struct ExecResult {
   Tensor output;
-  /// Simulated end-to-end latency under the chosen dispatch mode: serial
-  /// sum for kSequential, per-lane critical path for kWavefront.
+  /// Simulated end-to-end latency under the chosen time model: serial_ms for
+  /// kSequential, critical_path_ms for kWavefront.
   double latency_ms = 0.0;
   /// Serial sum of every node's charge (== kSequential latency).
   double serial_ms = 0.0;
-  /// Per-lane critical-path makespan (== kWavefront latency). Also filled
-  /// in sequential runs, so one run reports both time models.
+  /// Per-lane critical-path makespan (== kWavefront latency). Filled in
+  /// every run, so one run reports both time models.
   double critical_path_ms = 0.0;
   /// Per-category breakdown of the serial sum, attributed by categorize():
   /// conv / vision / copies / CPU-fallback ops / everything else. The five

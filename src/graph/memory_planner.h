@@ -33,8 +33,8 @@ struct MemoryPlan {
   /// rebound) for. The PagedArena resolves this to page counts at bind time.
   std::vector<int64_t> buffer_bytes;
   /// Node ids sharing each buffer, in execution order (the inverse of
-  /// buffer_of_node). Used for anti-dependency edges and for re-resolving
-  /// buffer sizes at a new shape binding.
+  /// buffer_of_node). resolve_buffer_bytes() reads it to re-size buffers at
+  /// a new shape binding.
   std::vector<std::vector<int>> buffer_holders;
 
   int64_t total_bytes() const {

@@ -41,7 +41,7 @@ Model build_squeezenet(Rng& rng, int64_t image_size = 224, int64_t batch = 1,
 /// Inception v1 (GoogLeNet): stem + nine 4-branch inception modules
 /// (3a..5b), GAP, FC-1000. The branchiest classifier here — every module
 /// forks four independent limbs — which makes it the reference workload for
-/// the wavefront executor's branch-overlap win.
+/// the wavefront time model's branch-overlap win.
 Model build_inception_v1(Rng& rng, int64_t image_size = 224, int64_t batch = 1,
                          int64_t num_classes = 1000);
 

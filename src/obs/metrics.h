@@ -3,8 +3,8 @@
 //
 // Instruments are registered on first use and live for the process lifetime,
 // so hot paths can cache a reference once and then touch a single relaxed
-// atomic per update — no locks, no allocation, and no effect on wavefront
-// determinism. reset() zeroes values but never invalidates references.
+// atomic per update — no locks, no allocation, and no effect on outputs or
+// simulated times. reset() zeroes values but never invalidates references.
 //
 // This header is deliberately dependency-free (std only) so that low layers
 // (tensor, tune) can record metrics without depending on graph/sim types.

@@ -103,14 +103,14 @@ std::string TraceRecorder::chrome_trace_json() const {
             .second) {
       append_event(out,
                    meta_event(kHostPid, host_tid[s.host_thread], "thread_name",
-                              "host worker " +
+                              "host thread " +
                                   std::to_string(host_tid[s.host_thread])),
                    first);
     }
   }
   if (have_host) {
     append_event(
-        out, meta_event(kHostPid, 0, "process_name", "host scheduler"), first);
+        out, meta_event(kHostPid, 0, "process_name", "host threads"), first);
   }
 
   char buf[256];
@@ -171,7 +171,7 @@ std::string TraceRecorder::chrome_trace_json() const {
       }
     }
 
-    // Host dispatch span (wall clock on the scheduler thread that ran it).
+    // Host dispatch span (wall clock on the thread that ran it).
     if (s.host_end_us > s.host_start_us) {
       std::snprintf(
           buf, sizeof(buf),

@@ -1,21 +1,20 @@
 // Execution tracing for the heterogeneous executor.
 //
 // A TraceRecorder collects one TraceSpan per executed graph node: its
-// simulated start/end on its device lane (from the wavefront LaneSchedule;
-// in sequential mode the same schedule is synthesized, so both dispatch
-// modes trace identically), the host wall-clock window in which the node was
-// actually dispatched, its cost category, shapes/layout, bytes moved, and —
-// for convolutions — the chosen schedule config.
+// simulated start/end on its device lane (from the LaneSchedule every run
+// computes, so both time models trace identically), the host wall-clock
+// window in which the node ran, its cost category, shapes/layout, bytes
+// moved, and — for convolutions — the chosen schedule config.
 //
 // The recorder is populated *after* dispatch, from the executor's
-// deterministic per-node merge: nothing on the concurrent hot path touches
-// shared recorder state, so tracing cannot perturb wavefront determinism.
+// deterministic per-node merge: nothing on the dispatch path touches shared
+// recorder state, so tracing cannot perturb outputs or simulated times.
 //
 // Two exporters:
 //   * chrome_trace_json() — the Chrome trace-event format (load the file in
 //     chrome://tracing or https://ui.perfetto.dev): one track per simulated
 //     lane (GPU queue / companion CPU / copy engine) plus one track per host
-//     scheduler thread;
+//     thread that ran nodes;
 //   * report() — the paper's per-layer breakdown tables reproduced from the
 //     trace: category rollup, per-lane utilization, and top-k ops.
 #pragma once
@@ -33,7 +32,7 @@ namespace igc::obs {
 struct TraceMeta {
   std::string model;
   std::string platform;
-  std::string mode;  // "sequential" | "wavefront"
+  std::string mode;  // time model: "sequential" | "wavefront"
   /// v2: spans carry merged KernelCounters; the Chrome export adds counter
   /// tracks (occupancy / achieved GFLOPS / achieved GB/s).
   int schema_version = 2;

@@ -3,8 +3,8 @@
 //
 // Also defines the device *lanes* of the heterogeneous platform (GPU queue,
 // companion-CPU queue, copy engine) and a LaneSchedule that merges per-node
-// charges along the critical path — the wavefront executor's time model,
-// where independent CPU-fallback and GPU work overlap instead of summing.
+// charges along the critical path — the kWavefront time model, where
+// independent CPU-fallback and GPU work overlap instead of summing.
 #pragma once
 
 #include <algorithm>
@@ -147,8 +147,8 @@ class SimClock {
 /// Deterministic list scheduler over the platform lanes: nodes are offered
 /// in a fixed (topological) order, each starting when both its dependencies
 /// have finished and its lane is free. The resulting makespan is the
-/// simulated wavefront latency; the serial sum of durations is the
-/// sequential executor's latency.
+/// kWavefront latency; the serial sum of durations is the kSequential
+/// latency.
 class LaneSchedule {
  public:
   /// Schedules a segment of `duration_ms` on `lane`, not starting before

@@ -29,11 +29,13 @@
 // slab design exactly at any shape. Page-granular truth lives in the
 // arena.page_* metrics and the PagePool stats.
 //
-// Thread safety: acquire/release are mutex-guarded so wavefront-concurrent
-// nodes may call them freely. Two *runs* sharing one arena must still be
-// externally serialized (the buffers themselves would alias). The mutex is
-// recursive because a pool pressure hook may re-enter evict_idle() from
-// this arena's own alloc path.
+// Thread safety: one run's nodes call acquire/release from the thread that
+// runs them, but the arena is still mutex-guarded: a shared pool's pressure
+// hook calls evict_idle() from whichever thread's allocation ran the pool
+// short. Two *runs* sharing one arena must still be externally serialized
+// (the buffers themselves would alias). The mutex is recursive because a
+// pool pressure hook may re-enter evict_idle() from this arena's own alloc
+// path.
 #pragma once
 
 #include <cstdint>

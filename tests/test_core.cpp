@@ -140,13 +140,21 @@ TEST(ThreadPool, PropagatesException) {
 }
 
 TEST(ThreadPool, NestedCallsDegradeGracefully) {
-  ThreadPool pool(2);
+  ThreadPool& global = ThreadPool::global();
+  // The caller is not a worker, but every global() task is: that is what
+  // lets a nested user (the JIT's grid split) run inline instead of
+  // blocking on the workers it occupies.
+  EXPECT_FALSE(global.on_worker_thread());
   std::atomic<int> count{0};
+  std::atomic<int> on_worker{0};
   // Using the global pool inside tasks of the global pool must not deadlock.
-  ThreadPool::global().parallel_for(8, [&](int64_t) {
-    ThreadPool::global().parallel_for(8, [&](int64_t) { count++; });
+  global.parallel_for(8, [&](int64_t) {
+    if (global.on_worker_thread()) on_worker++;
+    global.parallel_for(8, [&](int64_t) { count++; });
   });
   EXPECT_EQ(count.load(), 64);
+  // A one-worker pool runs parallel_for inline on the caller.
+  EXPECT_EQ(on_worker.load(), global.num_threads() > 1 ? 8 : 0);
 }
 
 TEST(ThreadPool, ZeroAndOneIterations) {
@@ -187,85 +195,6 @@ TEST(ThreadPool, ExceptionPathStillJoinsChunks) {
                  Error);
     EXPECT_GT(touched.load(), 0);
   }
-}
-
-TEST(TaskGroup, RunsAllTasksAndWaits) {
-  ThreadPool pool(4);
-  TaskGroup group(pool);
-  std::atomic<int> count{0};
-  for (int i = 0; i < 100; ++i) {
-    group.run([&] { count++; });
-  }
-  group.wait();
-  EXPECT_EQ(count.load(), 100);
-  EXPECT_FALSE(group.failed());
-}
-
-TEST(TaskGroup, TasksMaySpawnTasks) {
-  // The wavefront executor's dispatch pattern: a finishing node schedules
-  // its newly-ready successors from inside its own task.
-  ThreadPool pool(4);
-  TaskGroup group(pool);
-  std::atomic<int> count{0};
-  std::function<void(int)> spawn = [&](int depth) {
-    group.run([&, depth] {
-      count++;
-      if (depth < 5) {
-        spawn(depth + 1);
-        spawn(depth + 1);
-      }
-    });
-  };
-  spawn(0);
-  group.wait();
-  EXPECT_EQ(count.load(), (1 << 6) - 1);  // full binary tree of depth 5
-}
-
-TEST(TaskGroup, WaitRethrowsAndFailedIsSticky) {
-  ThreadPool pool(2);
-  TaskGroup group(pool);
-  std::atomic<int> ran{0};
-  for (int i = 0; i < 16; ++i) {
-    group.run([&, i] {
-      ran++;
-      if (i == 3) throw Error("task failed");
-    });
-  }
-  EXPECT_THROW(group.wait(), Error);
-  EXPECT_TRUE(group.failed());
-  EXPECT_EQ(ran.load(), 16);  // an error does not cancel already-queued work
-  EXPECT_NO_THROW(group.wait());  // the error is consumed by the first wait
-}
-
-TEST(TaskGroup, DestructorJoinsOutstandingTasks) {
-  ThreadPool pool(4);
-  std::atomic<int> count{0};
-  {
-    TaskGroup group(pool);
-    for (int i = 0; i < 50; ++i) {
-      group.run([&] { count++; });
-    }
-    // No wait(): the destructor must join so the capture of `count` stays
-    // valid for every task.
-  }
-  EXPECT_EQ(count.load(), 50);
-}
-
-TEST(ThreadPool, GlobalAndSchedulerAreDistinct) {
-  EXPECT_NE(&ThreadPool::global(), &ThreadPool::scheduler());
-  EXPECT_FALSE(ThreadPool::global().on_worker_thread());
-  // A scheduler task sees itself on the scheduler pool but not the global
-  // pool, which is what lets node tasks fan work out to global() safely.
-  TaskGroup group(ThreadPool::scheduler());
-  bool on_sched = false;
-  bool on_global = true;
-  group.run([&] {
-    on_sched = ThreadPool::scheduler().on_worker_thread();
-    on_global = ThreadPool::global().on_worker_thread();
-  });
-  group.wait();
-  EXPECT_TRUE(on_sched);
-  EXPECT_FALSE(on_global);
 }
 
 }  // namespace

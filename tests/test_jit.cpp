@@ -1,7 +1,7 @@
 // Tests for the host JIT backend: the artifact cache (hit/miss accounting,
 // concurrent compiles, corruption recovery, version invalidation) and the
 // end-to-end guarantee that JIT and reference numerics are bit-identical
-// across the model zoo and both dispatch modes — with simulated latencies
+// across the model zoo and both time models — with simulated latencies
 // untouched.
 //
 // Every test that needs the host toolchain skips cleanly when none exists.

@@ -3,7 +3,7 @@
 //
 // The load-bearing invariants:
 //   * tracing never changes outputs — traced runs are bit-identical to
-//     untraced runs in every dispatch mode;
+//     untraced runs in both time models;
 //   * the trace is a faithful decomposition of the run: category totals
 //     match the ExecResult breakdown, per-lane spans never overlap, and the
 //     last lane end-time is exactly the wavefront critical path;
@@ -354,8 +354,8 @@ TEST(Metrics, DeltasIdenticalAcrossRepeatedArenaRuns) {
             d1.counters.at("sim.launches"));
 
   // The deprecated alias instruments were removed after their deprecation
-  // window; only the canonical names (exec.node_ms, exec.ready_queue_peak,
-  // tune.trials) may appear in a post-run snapshot.
+  // window; only the canonical names (exec.node_ms, tune.trials) may appear
+  // in a post-run snapshot.
   for (const char* dead :
        {"exec.node_us", "sched.ready_queue_peak", "tuner.trials"}) {
     EXPECT_EQ(s2.counters.count(dead), 0u) << dead;
@@ -550,21 +550,6 @@ TEST(Executor, ArenaOptionInvariantsAreValidatedUpFront) {
   opts.arena = &bad_arena;
   opts.plan = &plan1;
   { Rng r(1); EXPECT_THROW(graph::execute(m1.graph, plat, opts, r), Error); }
-
-  // Holder lists that disagree with buffer_of_node: wavefront dispatch
-  // derives its anti-dependency edges from them.
-  graph::MemoryPlan bad_holders = plan1;
-  for (std::vector<int>& hs : bad_holders.buffer_holders) {
-    if (hs.size() > 1) {
-      hs[1] = m1.graph.num_nodes();
-      break;
-    }
-  }
-  opts.arena = &arena1;
-  opts.plan = &bad_holders;
-  opts.mode = graph::ExecMode::kWavefront;
-  { Rng r(1); EXPECT_THROW(graph::execute(m1.graph, plat, opts, r), Error); }
-  opts.mode = graph::ExecMode::kSequential;
 
   // The matched pair still works.
   opts.arena = &arena1;

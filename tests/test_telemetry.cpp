@@ -6,7 +6,7 @@
 //     associatively; concurrent observers lose nothing;
 //   * TelemetrySampler — deterministic series under an injected clock, ring
 //     eviction, idempotent start/stop, and clean behavior while concurrent
-//     wavefront runs hammer the registry (the TSan target);
+//     run() callers hammer the registry (the TSan target);
 //   * Prometheus exporter — name/label sanitization, golden exposition
 //     format, bucket monotonicity, and an end-to-end socket scrape of the
 //     /metrics and /healthz endpoints;
@@ -298,8 +298,8 @@ TEST(TelemetrySampler, StartStopAreIdempotentAndRestartable) {
 
 TEST(TelemetrySampler, RunsCleanlyDuringConcurrentWavefrontRuns) {
   // The TSan target: the background sampler snapshots the global registry
-  // while several threads run the wavefront executor (which records exec.*,
-  // run.*, arena.* metrics) — no torn samples, no races, valid JSON out.
+  // while several threads call run() (which records exec.*, run.*, arena.*
+  // metrics) — no torn samples, no races, valid JSON out.
   const sim::Platform& plat = sim::platform(sim::PlatformId::kDeepLens);
   Rng rng(0x5eed);
   CompileOptions copts;

@@ -1,9 +1,14 @@
-// Tests for the wavefront executor and the plan-backed buffer arena: outputs
-// must be bit-identical to a no-reuse reference in every mode and storage
-// combination, peak intermediate memory must respect the static plan, and the
-// simulated critical path must never exceed the serial sum (and must beat it
-// when the graph has genuinely overlappable work).
+// Tests for the wavefront time model and the plan-backed buffer arena. Every
+// run dispatches its nodes in id order on the calling thread; kWavefront only
+// reports the per-lane critical path as its latency. Outputs and both time
+// models must be bit-identical to a no-reuse reference on every storage,
+// peak intermediate memory must respect the static plan, and the critical
+// path must never exceed the serial sum (and must beat it when the graph has
+// genuinely overlappable work).
 #include <gtest/gtest.h>
+
+#include <functional>
+#include <thread>
 
 #include "core/compiler.h"
 #include "graph/executor.h"
@@ -11,6 +16,7 @@
 #include "graph/passes.h"
 #include "graphtune/graph_tuner.h"
 #include "models/models.h"
+#include "obs/trace.h"
 #include "sim/device_spec.h"
 
 namespace igc {
@@ -33,8 +39,8 @@ void expect_bit_identical(const Tensor& a, const Tensor& b,
 /// The storage reference: a sequential run of `g` over a memory plan that
 /// never reuses a buffer (buffer i belongs to node i alone). The plan is
 /// built from the struct's public fields rather than plan_memory(), so a
-/// reuse bug in the planner or in the executor's release and
-/// anti-dependency logic cannot hide in the reference.
+/// reuse bug in the planner or in the executor's release logic cannot hide
+/// in the reference.
 graph::ExecResult run_no_reuse(const graph::Graph& g,
                                const sim::Platform& plat,
                                graph::ExecOptions opts, uint64_t seed) {
@@ -52,13 +58,15 @@ graph::ExecResult run_no_reuse(const graph::Graph& g,
   return graph::execute(g, plat, opts, rng);
 }
 
-/// Compiles `model` and runs every {sequential, wavefront} x {per-call
-/// arena, persistent arena, serving context} combination. Each must match
-/// the no-reuse reference bit for bit, on outputs and on both simulated
-/// time models: compile()'s pass pipeline replayed on a copy of the graph,
-/// with the model's schedules written onto it from its database and layouts.
-void check_all_modes(const models::Model& model, const sim::Platform& plat,
-                     bool numerics, std::set<graph::OpKind> fallback = {}) {
+/// Compiles `model` and runs it in kWavefront on each storage: per-call
+/// arena, persistent arena, serving context. Each must match the no-reuse
+/// reference bit for bit, on outputs and on both simulated time models, and
+/// report the critical path as its latency. The reference is compile()'s
+/// pass pipeline replayed on a copy of the graph, with the model's schedules
+/// written onto it from its database and layouts.
+void check_all_storages(const models::Model& model,
+                        const sim::Platform& plat, bool numerics,
+                        std::set<graph::OpKind> fallback = {}) {
   constexpr uint64_t kSeed = 0x515;
   const CompiledModel cm =
       compile_fast(models::Model{model.name, model.graph}, plat, fallback);
@@ -76,45 +84,39 @@ void check_all_modes(const models::Model& model, const sim::Platform& plat,
     bool persistent;
     ServingContext* context;
   };
-  for (const graph::ExecMode mode :
-       {graph::ExecMode::kSequential, graph::ExecMode::kWavefront}) {
-    for (const Storage& s : {Storage{"per-call arena", false, nullptr},
-                             Storage{"persistent arena", true, nullptr},
-                             Storage{"serving context", false, ctx.get()}}) {
-      RunOptions ropts;
-      ropts.input_seed = kSeed;
-      ropts.compute_numerics = numerics;
-      ropts.mode = mode;
-      ropts.use_arena = s.persistent;
-      ropts.serving_context = s.context;
-      const RunResult r = cm.run(ropts);
-      const std::string what =
-          cm.model_name() +
-          (mode == graph::ExecMode::kWavefront ? " wavefront "
-                                               : " sequential ") +
-          s.name;
-      expect_bit_identical(r.output, ref.output, what);
-      // The same per-node charges feed both time models, so these agree no
-      // matter which mode ran.
-      EXPECT_DOUBLE_EQ(r.serial_ms, ref.serial_ms) << what;
-      EXPECT_DOUBLE_EQ(r.critical_path_ms, ref.critical_path_ms) << what;
-    }
+  for (const Storage& s : {Storage{"per-call arena", false, nullptr},
+                           Storage{"persistent arena", true, nullptr},
+                           Storage{"serving context", false, ctx.get()}}) {
+    RunOptions ropts;
+    ropts.input_seed = kSeed;
+    ropts.compute_numerics = numerics;
+    ropts.mode = graph::ExecMode::kWavefront;
+    ropts.use_arena = s.persistent;
+    ropts.serving_context = s.context;
+    const RunResult r = cm.run(ropts);
+    const std::string what = cm.model_name() + " " + s.name;
+    expect_bit_identical(r.output, ref.output, what);
+    // The same per-node charges feed both time models, so both match the
+    // sequential reference.
+    EXPECT_DOUBLE_EQ(r.serial_ms, ref.serial_ms) << what;
+    EXPECT_DOUBLE_EQ(r.critical_path_ms, ref.critical_path_ms) << what;
+    EXPECT_EQ(r.latency_ms, r.critical_path_ms) << what;
   }
 }
 
 TEST(Wavefront, ClassificationNumericsBitIdentical) {
   const sim::Platform& plat = sim::platform(sim::PlatformId::kDeepLens);
   Rng rng(0x5eed);
-  check_all_modes(models::build_mobilenet(rng, 64), plat, true);
-  check_all_modes(models::build_squeezenet(rng, 64), plat, true);
-  check_all_modes(models::build_inception_v1(rng, 64), plat, true);
+  check_all_storages(models::build_mobilenet(rng, 64), plat, true);
+  check_all_storages(models::build_squeezenet(rng, 64), plat, true);
+  check_all_storages(models::build_inception_v1(rng, 64), plat, true);
 }
 
 TEST(Wavefront, ResNetAndFcnNumericsBitIdentical) {
   const sim::Platform& plat = sim::platform(sim::PlatformId::kJetsonNano);
   Rng rng(0x5eed);
-  check_all_modes(models::build_resnet50(rng, 64), plat, true);
-  check_all_modes(models::build_fcn_resnet50(rng, 64, 1, 5), plat, true);
+  check_all_storages(models::build_resnet50(rng, 64), plat, true);
+  check_all_storages(models::build_fcn_resnet50(rng, 64, 1, 5), plat, true);
 }
 
 TEST(Wavefront, DetectionShapesOnlyBitIdentical) {
@@ -123,17 +125,18 @@ TEST(Wavefront, DetectionShapesOnlyBitIdentical) {
   // adds device-copy nodes and a second execution lane.
   const sim::Platform& plat = sim::platform(sim::PlatformId::kDeepLens);
   Rng rng(0x5eed);
-  check_all_modes(models::build_ssd(rng, models::SsdBackbone::kMobileNet, 128),
-                  plat, false, {graph::OpKind::kSsdDetection});
-  check_all_modes(models::build_yolov3(rng, 128, 1, 20), plat, false,
-                  {graph::OpKind::kYoloDecode, graph::OpKind::kBoxNms});
+  check_all_storages(
+      models::build_ssd(rng, models::SsdBackbone::kMobileNet, 128), plat,
+      false, {graph::OpKind::kSsdDetection});
+  check_all_storages(models::build_yolov3(rng, 128, 1, 20), plat, false,
+                     {graph::OpKind::kYoloDecode, graph::OpKind::kBoxNms});
 }
 
 TEST(Wavefront, AllPlatformsBitIdentical) {
   Rng rng(0x5eed);
   const models::Model m = models::build_inception_v1(rng, 64);
   for (const sim::Platform& plat : sim::all_platforms()) {
-    check_all_modes(m, plat, false);
+    check_all_storages(m, plat, false);
   }
 }
 
@@ -145,9 +148,11 @@ TEST(Wavefront, PeakIntermediateBytesRespectsPlan) {
         compile_fast(models::build_ssd(rng, models::SsdBackbone::kMobileNet, 128),
                      plat, {graph::OpKind::kSsdDetection})}) {
     const int64_t plan_bytes = cm.memory_plan().total_bytes();
-    for (const graph::ExecMode mode :
-         {graph::ExecMode::kSequential, graph::ExecMode::kWavefront}) {
-      for (const bool persistent : {false, true}) {
+    for (const bool persistent : {false, true}) {
+      // Both time models share one dispatch, so they hold the same buffers.
+      int64_t sequential_peak = -1;
+      for (const graph::ExecMode mode :
+           {graph::ExecMode::kSequential, graph::ExecMode::kWavefront}) {
         RunOptions ropts;
         ropts.compute_numerics = false;
         ropts.mode = mode;
@@ -156,7 +161,43 @@ TEST(Wavefront, PeakIntermediateBytesRespectsPlan) {
         EXPECT_GT(r.peak_intermediate_bytes, 0) << cm.model_name();
         EXPECT_LE(r.peak_intermediate_bytes, plan_bytes) << cm.model_name();
         EXPECT_EQ(r.arena_bytes, plan_bytes) << cm.model_name();
+        if (mode == graph::ExecMode::kSequential) {
+          sequential_peak = r.peak_intermediate_bytes;
+        } else {
+          EXPECT_EQ(r.peak_intermediate_bytes, sequential_peak)
+              << cm.model_name() << (persistent ? " persistent" : " per-call");
+        }
       }
+    }
+  }
+}
+
+TEST(Wavefront, EveryNodeRunsOnTheCallingThread) {
+  // kWavefront picks the time model, not the dispatch: every node runs on
+  // the thread that called run(), one after another in id order, so the
+  // traced host windows form a non-overlapping, non-decreasing sequence.
+  const sim::Platform& plat = sim::platform(sim::PlatformId::kDeepLens);
+  Rng rng(0x5eed);
+  const uint64_t caller =
+      std::hash<std::thread::id>{}(std::this_thread::get_id());
+  for (const CompiledModel& cm :
+       {compile_fast(models::build_inception_v1(rng, 64), plat),
+        compile_fast(models::build_yolov3(rng, 128, 1, 20), plat,
+                     {graph::OpKind::kYoloDecode, graph::OpKind::kBoxNms})}) {
+    obs::TraceRecorder rec;
+    RunOptions ropts;
+    ropts.compute_numerics = false;
+    ropts.mode = graph::ExecMode::kWavefront;
+    ropts.trace = &rec;
+    cm.run(ropts);
+    ASSERT_FALSE(rec.spans().empty()) << cm.model_name();
+    double prev_end_us = 0.0;
+    for (const obs::TraceSpan& s : rec.spans()) {
+      const std::string what = cm.model_name() + " " + s.name;
+      EXPECT_EQ(s.host_thread, caller) << what;
+      EXPECT_LE(s.host_start_us, s.host_end_us) << what;
+      EXPECT_GE(s.host_start_us, prev_end_us) << what;
+      prev_end_us = s.host_end_us;
     }
   }
 }

@@ -58,6 +58,7 @@
 #include <vector>
 
 #include "bench_json.h"
+#include "codegen/jit.h"
 #include "core/compiler.h"
 #include "models/models.h"
 #include "obs/http.h"
@@ -612,7 +613,8 @@ int main(int argc, char** argv) {
         .field("outputs_identical", outputs_identical)
         .field("sim_latency_identical", sim_identical)
         .field("jit_kernels", cm.jit_kernels())
-        .field("jit_nodes_covered", cm.jit_nodes_covered());
+        .field("jit_nodes_covered", cm.jit_nodes_covered())
+        .field("jit_flags", codegen::jit::Toolchain::host().flags());
     j.emit(jf);
     j.emit(stdout);
   }

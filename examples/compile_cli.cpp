@@ -27,6 +27,7 @@
 #include <utility>
 #include <vector>
 
+#include "codegen/jit.h"
 #include "core/compiler.h"
 #include "models/models.h"
 #include "obs/http.h"
@@ -122,7 +123,8 @@ void usage(const char* argv0, std::FILE* out) {
       "  --roofline              roofline attribution report\n"
       "  --tune-journal PATH     JSONL tuning flight recorder\n"
       "  --metrics PATH          metrics registry snapshot JSON\n"
-      "  --jit-stats             print JIT module + kernel-cache statistics\n"
+      "  --jit-stats             print the JIT flags (ISA level) and module +\n"
+      "                          kernel-cache statistics\n"
       "serving flags:\n"
       "  --serve-metrics PORT    after the first run, keep running inference\n"
       "                          while serving /metrics /healthz\n"
@@ -420,6 +422,10 @@ int main(int argc, char** argv) {
     // invocation they describe exactly this model's JIT activity.
     const obs::MetricsSnapshot snap = obs::MetricsRegistry::global().snapshot();
     std::printf("\n-- jit stats --\n");
+    // The flags name the ISA level the module was compiled for.
+    const codegen::jit::Toolchain& tc = codegen::jit::Toolchain::host();
+    std::printf("  %-28s %s\n", "jit.flags",
+                tc.available() ? tc.flags().c_str() : "(no toolchain)");
     bool any = false;
     for (const auto& [name, value] : snap.counters) {
       if (name.rfind("jit.", 0) != 0) continue;

@@ -1,5 +1,6 @@
 #include "codegen/codegen.h"
 
+#include <cmath>
 #include <sstream>
 
 #include "core/error.h"
@@ -53,6 +54,16 @@ struct Dialect {
   }
   std::string type_name(DType t) const {
     return std::string(cuda ? dtype_cuda_name(t) : dtype_opencl_name(t));
+  }
+  /// Per-thread arrays live in registers / local memory on CUDA and in the
+  /// private address space on OpenCL.
+  std::string private_qualifier() const { return cuda ? "" : "__private "; }
+  /// Float literals for the values a decimal literal cannot spell: OpenCL C
+  /// predefines INFINITY and NAN; CUDA reinterprets the IEEE bit pattern.
+  std::string nonfinite_literal(double v) const {
+    if (std::isnan(v)) return cuda ? "__int_as_float(0x7fffffff)" : "NAN";
+    if (v > 0) return cuda ? "__int_as_float(0x7f800000)" : "INFINITY";
+    return cuda ? "__int_as_float(0xff800000)" : "(-INFINITY)";
   }
 };
 
@@ -126,6 +137,10 @@ class Printer {
         line(d_.type_name(s->dtype) + " " + s->buffer + " = " + expr(s->value) +
              ";");
         return;
+      case StmtKind::kDeclArray:
+        line(d_.private_qualifier() + d_.type_name(s->dtype) + " " + s->buffer +
+             "[" + std::to_string(s->extent) + "];");
+        return;
       case StmtKind::kAssign:
         line(s->buffer + " = " + expr(s->value) + ";");
         return;
@@ -143,6 +158,9 @@ class Printer {
       case ExprKind::kIntImm:
         return std::to_string(e->int_val);
       case ExprKind::kFloatImm: {
+        if (!std::isfinite(e->float_val)) {
+          return d_.nonfinite_literal(e->float_val);
+        }
         std::ostringstream os;
         os << e->float_val;
         std::string s = os.str();

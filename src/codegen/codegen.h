@@ -35,7 +35,7 @@ std::string emit_cuda(const ir::LoweredKernel& kernel);
 /// caller partitions the grid across host threads; thread-bound axes become
 /// ordinary serial loops, so one block is one work-group's worth of work on
 /// one host thread. Barriers are rejected — host kernels are written without
-/// intra-block synchronization.
+/// intra-block synchronization. Local arrays print as block-scoped C arrays.
 ///
 /// Float arithmetic is emitted in single precision with min/max as ternaries,
 /// matching the reference operators bit for bit when compiled with

@@ -8,6 +8,10 @@
 // disjoint outputs, so any partition is race-free). Thread-bound axes and
 // every scheduling annotation (unroll, vectorize) become plain counted
 // loops: the host compiler's own unroller/vectorizer takes over at -O3.
+// A local array (kDeclArray) prints as a plain C array in its block's
+// scope; with constant extents and loop bounds, the compiler unrolls the
+// loops over it and keeps a register tile's accumulators in vector
+// registers.
 //
 // Numeric contract (relied on by the executor's bit-identity guarantee):
 // float expressions stay in single precision (locals are `float`, literals
@@ -15,8 +19,11 @@
 // define std::min/std::max, and integer scalars are `long long` so index
 // arithmetic cannot overflow. With contraction disabled at compile time the
 // emitted arithmetic is instruction-for-instruction the reference
-// operators' float sequence.
+// operators' float sequence, whatever vector ISA the module targets.
+// Non-finite literals use the GCC/Clang builtins (__builtin_inff,
+// __builtin_nanf), since the module includes no headers.
 #include <cinttypes>
+#include <cmath>
 #include <cstdio>
 #include <sstream>
 
@@ -143,6 +150,10 @@ class CppPrinter {
         line(std::string(s->dtype == DType::kFloat32 ? "float " : "long long ") +
              s->buffer + " = " + expr(s->value) + ";");
         return;
+      case StmtKind::kDeclArray:
+        line(std::string(s->dtype == DType::kFloat32 ? "float " : "long long ") +
+             s->buffer + "[" + std::to_string(s->extent) + "];");
+        return;
       case StmtKind::kAssign:
         line(s->buffer + " = " + expr(s->value) + ";");
         return;
@@ -155,13 +166,16 @@ class CppPrinter {
     }
   }
 
+  /// A single-precision literal for `v`: %.9g round-trips every float.
+  /// Infinities and NaN have no decimal spelling; GCC and Clang both provide
+  /// the builtins, and the module includes no headers.
   static std::string fimm_str(double v) {
+    if (std::isnan(v)) return "__builtin_nanf(\"\")";
+    if (std::isinf(v)) return v > 0 ? "__builtin_inff()" : "(-__builtin_inff())";
     char buf[48];
     std::snprintf(buf, sizeof(buf), "%.9g", v);
     std::string s(buf);
-    if (s.find('.') == std::string::npos && s.find('e') == std::string::npos &&
-        s.find("inf") == std::string::npos &&
-        s.find("nan") == std::string::npos) {
+    if (s.find('.') == std::string::npos && s.find('e') == std::string::npos) {
       s += ".0";
     }
     return s + "f";

@@ -86,6 +86,19 @@ std::string quoted(const std::string& s) {
   return out;
 }
 
+/// The highest x86-64 micro-architecture level this CPU implements (2-4),
+/// or 0 when the build cannot ask (non-x86 hosts, compilers older than
+/// GCC 12, which introduced the level names in __builtin_cpu_supports).
+int cpu_isa_level() {
+#if defined(__x86_64__) && defined(__GNUC__) && !defined(__clang__) && \
+    __GNUC__ >= 12
+  if (__builtin_cpu_supports("x86-64-v4")) return 4;
+  if (__builtin_cpu_supports("x86-64-v3")) return 3;
+  if (__builtin_cpu_supports("x86-64-v2")) return 2;
+#endif
+  return 0;
+}
+
 }  // namespace
 
 // ---- Toolchain -------------------------------------------------------------
@@ -112,6 +125,19 @@ Toolchain::Toolchain() {
   }
   ::pclose(p);
   available_ = !compiler_id_.empty();
+  if (!available_) return;
+  // The JIT targets the CPU it runs on: the highest level the CPU has and
+  // the compiler accepts (preprocessing an empty unit rejects an unknown
+  // -march value). Usually the first probe succeeds.
+  for (int level = cpu_isa_level(); level >= 2; --level) {
+    const std::string march = "-march=x86-64-v" + std::to_string(level);
+    if (run_command(compiler_ + " " + march +
+                    " -x c++ -E -o /dev/null /dev/null >/dev/null 2>&1") == 0) {
+      isa_level_ = level;
+      flags_ += " " + march;
+      break;
+    }
+  }
 }
 
 const Toolchain& Toolchain::host() {

@@ -55,10 +55,18 @@ class Toolchain {
   bool available() const { return available_; }
   const std::string& compiler() const { return compiler_; }
   const std::string& compiler_id() const { return compiler_id_; }
-  /// Compile flags (part of the cache key). Contraction is disabled so the
-  /// emitted float arithmetic stays bit-identical to the reference
-  /// operators (GCC defaults to -ffp-contract=fast at -O2+).
+  /// Compile flags (part of the cache key and the manifest, so an artifact
+  /// built for one ISA level is never loaded at another). Contraction is
+  /// disabled so the emitted float arithmetic stays bit-identical to the
+  /// reference operators at every ISA level (GCC defaults to
+  /// -ffp-contract=fast at -O2+, which would fuse a + b*c into FMAs). On
+  /// x86-64 the flags end in -march=x86-64-v<isa_level()>.
   const std::string& flags() const { return flags_; }
+  /// The x86-64 micro-architecture level the module is compiled for: the
+  /// highest of 2, 3, 4 that both the CPU supports and the compiler accepts
+  /// (probed once, beside `--version`). 0 on other hosts, which keep the
+  /// compiler's baseline target.
+  int isa_level() const { return isa_level_; }
 
   /// Compiles `source_path` into the shared object `out_path`. On failure
   /// returns false with the compiler's stderr in *err. Records
@@ -73,6 +81,7 @@ class Toolchain {
   std::string compiler_;
   std::string compiler_id_;
   std::string flags_;
+  int isa_level_ = 0;
 };
 
 /// A dlopened shared object. Closing is tied to the last shared_ptr, so a

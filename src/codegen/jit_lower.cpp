@@ -90,6 +90,8 @@ LowerResult build_dispatch_table(const graph::Graph& g, KernelCache& cache,
   };
 
   LowerResult result;
+  const ops::HostConvTile tile =
+      ops::host_conv_tile(Toolchain::host().isa_level());
 
   // ---- Lower every coverable node, deduplicating by signature -----------
   const auto t_lower = Clock::now();
@@ -122,7 +124,7 @@ LowerResult build_dispatch_table(const graph::Graph& g, KernelCache& cache,
         sig << "conv_" << p.workload_key() << (bias ? "_b" : "");
         sig_epilogue(sig, e);
         const PendingKernel& pk = intern(sig.str(), [&](const std::string& sym) {
-          return ops::conv2d_build_host_ir(p, bias, e, sym);
+          return ops::conv2d_build_host_ir(p, bias, e, sym, tile);
         });
         plan.signature = sig.str();
         plan.kernel.grid = pk.lowered.grid_size();

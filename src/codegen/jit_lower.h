@@ -9,6 +9,11 @@
 // 20 distinct workloads costs 20 kernels and exactly one toolchain
 // invocation cold — zero warm.
 //
+// Convs are register-tiled for the ISA level the toolchain compiles for
+// (Toolchain::isa_level()): the level picks the tile (ops::host_conv_tile),
+// and the level's -march flag is part of the cache key, so the tile shape and
+// the instruction set always travel together.
+//
 // Nodes the host target cannot express (sigmoid activations, pooling,
 // softmax, vision ops, double-accumulating global-avg-pool) are simply
 // absent from the table; the executor keeps running them on the reference

@@ -151,6 +151,16 @@ StmtPtr make_decl_local(const std::string& name, DType dtype, ExprPtr init) {
   return make_stmt(std::move(s));
 }
 
+StmtPtr make_decl_array(const std::string& name, DType dtype, int64_t extent) {
+  IGC_CHECK_GT(extent, 0);
+  Stmt s;
+  s.kind = StmtKind::kDeclArray;
+  s.buffer = name;
+  s.dtype = dtype;
+  s.extent = extent;
+  return make_stmt(std::move(s));
+}
+
 StmtPtr make_assign(const std::string& name, ExprPtr value) {
   IGC_CHECK(value);
   Stmt s;

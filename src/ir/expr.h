@@ -5,8 +5,8 @@
 // C (Nvidia), and the interpreter executes it on the host for functional
 // validation. The IR is deliberately small: scalar expressions, buffer
 // loads/stores, loops with schedule annotations (serial / unrolled /
-// vectorized / bound to block or thread indices), conditionals, and local
-// accumulator variables.
+// vectorized / bound to block or thread indices), conditionals, local
+// accumulator variables, and fixed-size local arrays (register tiles).
 #pragma once
 
 #include <cstdint>
@@ -54,7 +54,8 @@ struct Expr {
 
   int64_t int_val = 0;   // kIntImm
   double float_val = 0;  // kFloatImm
-  std::string name;      // kVar (loop var or accumulator), kLoad (buffer)
+  std::string name;      // kVar (loop var or accumulator), kLoad (buffer or
+                         // local array)
   BinOp op = BinOp::kAdd;  // kBinary
   ExprPtr a, b, c;         // operands; kSelect uses (a=cond, b=then, c=else)
 };
@@ -76,7 +77,8 @@ ExprPtr lt(ExprPtr a, ExprPtr b);
 ExprPtr lte(ExprPtr a, ExprPtr b);
 ExprPtr logical_and(ExprPtr a, ExprPtr b);
 ExprPtr select(ExprPtr cond, ExprPtr then_v, ExprPtr else_v);
-/// Load `buffer[index]` of element type `dtype`.
+/// Load `buffer[index]` of element type `dtype`; `buffer` names a kernel
+/// parameter or a local array (make_decl_array).
 ExprPtr load(const std::string& buffer, ExprPtr index,
              DType dtype = DType::kFloat32);
 
@@ -106,9 +108,10 @@ struct IterVar {
 
 enum class StmtKind {
   kFor,       // loop over an IterVar
-  kStore,     // buffer[index] = value
+  kStore,     // buffer[index] = value (a parameter or a local array)
   kIf,        // if (cond) { then_body }
   kDeclLocal, // local scalar: <dtype> name = init
+  kDeclArray, // local array: <dtype> name[extent], addressed by kLoad/kStore
   kAssign,    // name = value (local scalar)
   kBarrier,   // work-group barrier
   kComment,
@@ -122,11 +125,13 @@ struct Stmt {
 
   IterVar iv;                  // kFor
   std::vector<StmtPtr> body;   // kFor, kIf
-  std::string buffer;          // kStore (buffer), kDeclLocal/kAssign (var name)
+  std::string buffer;          // kStore (buffer), kDeclLocal/kDeclArray/kAssign
+                               // (local name)
   ExprPtr index;               // kStore
   ExprPtr value;               // kStore, kDeclLocal (init), kAssign
   ExprPtr cond;                // kIf
-  DType dtype = DType::kFloat32;  // kDeclLocal
+  DType dtype = DType::kFloat32;  // kDeclLocal, kDeclArray
+  int64_t extent = 0;          // kDeclArray (elements)
   std::string text;            // kComment
 };
 
@@ -134,6 +139,10 @@ StmtPtr make_for(IterVar iv, std::vector<StmtPtr> body);
 StmtPtr make_store(const std::string& buffer, ExprPtr index, ExprPtr value);
 StmtPtr make_if(ExprPtr cond, std::vector<StmtPtr> body);
 StmtPtr make_decl_local(const std::string& name, DType dtype, ExprPtr init);
+/// A per-block (per-thread on a device) array of `extent` elements with
+/// undefined initial contents: what TVM's cache_write(C, "local") lowers to.
+/// Later kLoad/kStore statements in the same scope address it by `name`.
+StmtPtr make_decl_array(const std::string& name, DType dtype, int64_t extent);
 StmtPtr make_assign(const std::string& name, ExprPtr value);
 StmtPtr make_barrier();
 StmtPtr make_comment(const std::string& text);

@@ -1,6 +1,8 @@
 #include "ir/interp.h"
 
 #include <cmath>
+#include <limits>
+#include <vector>
 
 #include "core/error.h"
 
@@ -56,6 +58,9 @@ class Interp {
       }
       case ExprKind::kLoad: {
         const int64_t idx = eval(e->a).as_int();
+        if (auto it = arrays_.find(e->name); it != arrays_.end()) {
+          return it->second[array_index(it->second, idx, e->name)];
+        }
         const Tensor& t = buffer(e->name);
         IGC_CHECK_GE(idx, 0) << "OOB load from " << e->name;
         IGC_CHECK_LT(idx, t.numel()) << "OOB load from " << e->name;
@@ -131,6 +136,12 @@ class Interp {
       }
       case StmtKind::kStore: {
         const int64_t idx = eval(s->index).as_int();
+        if (auto it = arrays_.find(s->buffer); it != arrays_.end()) {
+          Value& slot = it->second[array_index(it->second, idx, s->buffer)];
+          const Value v = eval(s->value);
+          slot = slot.is_float ? float_value(v.as_float()) : int_value(v.as_int());
+          return;
+        }
         Tensor& t = mutable_buffer(s->buffer);
         IGC_CHECK_GE(idx, 0) << "OOB store to " << s->buffer;
         IGC_CHECK_LT(idx, t.numel()) << "OOB store to " << s->buffer;
@@ -164,10 +175,29 @@ class Interp {
         }
         return;
       }
+      case StmtKind::kDeclArray: {
+        // Each execution of the declaration starts a fresh array. Float
+        // elements start as NaN, so a read before the first write poisons
+        // the result instead of passing by accident.
+        const Value init =
+            s->dtype == DType::kFloat32
+                ? float_value(std::numeric_limits<double>::quiet_NaN())
+                : int_value(0);
+        arrays_[s->buffer].assign(static_cast<size_t>(s->extent), init);
+        return;
+      }
       case StmtKind::kBarrier:
       case StmtKind::kComment:
         return;  // no-ops for sequential interpretation
     }
+  }
+
+  static size_t array_index(const std::vector<Value>& a, int64_t idx,
+                            const std::string& name) {
+    IGC_CHECK_GE(idx, 0) << "OOB access to local array " << name;
+    IGC_CHECK_LT(idx, static_cast<int64_t>(a.size()))
+        << "OOB access to local array " << name;
+    return static_cast<size_t>(idx);
   }
 
   const Tensor& buffer(const std::string& name) const {
@@ -183,6 +213,7 @@ class Interp {
 
   const std::map<std::string, Tensor>& buffers_;
   std::map<std::string, Value> env_;
+  std::map<std::string, std::vector<Value>> arrays_;  // kDeclArray locals
 };
 
 }  // namespace

@@ -3,7 +3,8 @@
 // Executes the IR exactly as written — bound axes (block/thread indices) are
 // iterated like loops — so the same program that codegen prints as OpenCL or
 // CUDA can be validated numerically against the operator library on small
-// inputs.
+// inputs. Every buffer and local-array access is bounds-checked, so an
+// out-of-range index throws instead of reading a neighbouring element.
 #pragma once
 
 #include <map>

@@ -1,5 +1,6 @@
 #include "ops/nn/host_kernels.h"
 
+#include <algorithm>
 #include <functional>
 
 #include "core/error.h"
@@ -54,17 +55,48 @@ bool host_act_supported(Activation act) {
   return act == Activation::kRelu || act == Activation::kLeakyRelu;
 }
 
+// Swept over InceptionV1's convs at each level (DESIGN.md, "Host-JIT
+// numerics backend"): the winners keep 12 vector accumulators live where
+// the register file allows it.
+HostConvTile host_conv_tile(int isa_level) {
+  switch (isa_level) {
+    case 4:
+      return {4, 48};  // AVX-512: 12 of 32 zmm registers
+    case 3:
+      return {3, 32};  // AVX2: 12 of 16 ymm registers
+    default:
+      return {3, 24};  // SSE (baseline and v2): 18 xmm, a few spill to L1
+  }
+}
+
 ir::LoweredKernel conv2d_build_host_ir(const Conv2dParams& p, bool bias,
                                        const HostEpilogue& e,
-                                       const std::string& name) {
+                                       const std::string& name,
+                                       HostConvTile tile) {
   p.validate();
   IGC_CHECK(!e.activation || host_act_supported(e.act));
+  IGC_CHECK(tile.tc > 0 && tile.tj > 0);
   const int64_t cig = p.in_channels / p.groups;
   const int64_t cog = p.out_channels / p.groups;
   const int64_t oh = p.out_h();
   const int64_t ow = p.out_w();
   const int64_t ph = p.in_h + 2 * p.pad_h;  // padded input extents
   const int64_t pw = p.in_w + 2 * p.pad_w;
+
+  // A channel group never straddles two conv groups: TC divides cog.
+  int64_t tc = std::min(tile.tc, cog);
+  while (cog % tc != 0) --tc;
+  const int64_t tj = tile.tj;
+  // Stride 1 tiles the flat position j = y * PW + x over the padded row
+  // pitch, so every tap reads one contiguous run; the PW - OW positions past
+  // each row's end are computed and dropped. Larger strides tile the x of
+  // one output row.
+  const bool flat = p.stride_h == 1 && p.stride_w == 1;
+  const int64_t span = flat ? (oh - 1) * pw + ow : ow;
+  const int64_t full_tiles = span / tj;
+  const int64_t tail = span % tj;
+  const int64_t row_tiles = full_tiles + (tail > 0 ? 1 : 0);
+  const int64_t tiles = flat ? row_tiles : oh * row_tiles;
 
   ir::LoweredKernel k;
   k.name = name;
@@ -81,96 +113,119 @@ ir::LoweredKernel conv2d_build_host_ir(const Conv2dParams& p, bool bias,
                       p.batch * p.out_channels * oh * ow, true});
 
   const ExprPtr vn = var("n");
-  const ExprPtr vco = var("co");
-  const ExprPtr vy = var("y");
-  const ExprPtr vx = var("x");
+  const ExprPtr vt = var("t");
   const ExprPtr vci = var("ci");
   const ExprPtr vky = var("ky");
   const ExprPtr vkx = var("kx");
+  const ExprPtr vc = var("c");
+  const ExprPtr vj = var("j");
+  const ExprPtr vy = var("y");
+  const ExprPtr co0 = var("co0");
+  const ExprPtr co = add(co0, vc);
+  const ExprPtr p0 = var("p0");
 
-  auto out_idx = [&](ExprPtr y, ExprPtr x) {
-    ExprPtr plane = add(mul(vn, imm(p.out_channels)), vco);
-    return add(mul(add(mul(plane, imm(oh)), y), imm(ow)), x);
-  };
-
-  std::vector<StmtPtr> block;  // body of one (n, co) grid block
-  block.push_back(make_comment("one block = one output plane"));
-
-  // Init: out[y, x] = bias[co] (or 0), exactly the reference accumulator
-  // seed; the reduction then adds into memory in reference order.
-  {
-    const ExprPtr seed = bias ? load("bias", vco) : fimm(0.0);
-    block.push_back(make_for(
-        {"y", oh, IterKind::kSerial},
-        {make_for({"x", ow, IterKind::kVectorized},
-                  {make_store("out", out_idx(vy, vx), seed)})}));
+  // The block's first output channel co0 and its tile's first position p0:
+  // the flat position t * TJ at stride 1, else the first x of output row y.
+  std::vector<StmtPtr> block = {
+      make_decl_local("co0", DType::kInt32, mul(var("cb"), imm(tc)))};
+  if (flat) {
+    block.push_back(make_decl_local("p0", DType::kInt32, mul(vt, imm(tj))));
+  } else {
+    block.push_back(
+        make_decl_local("y", DType::kInt32, div(vt, imm(row_tiles))));
+    block.push_back(make_decl_local("p0", DType::kInt32,
+                                    mul(mod(vt, imm(row_tiles)), imm(tj))));
   }
 
-  // Reduction: ci -> ky -> kx, weight hoisted to a scalar, spatial loops
-  // innermost so the x loop vectorizes across independent outputs. The
-  // input is pre-padded: taps the reference skips read zeros, and
-  // acc + 0.0f * w cannot change the accumulator's bits.
-  {
-    // in_c = g * cig + ci with g = co / cog (grouped); plain ci otherwise.
-    const bool grouped = p.groups > 1;
-    const ExprPtr in_c = grouped ? var("in_c") : vci;
+  // One tile of `width` positions: seed every accumulator from the bias (or
+  // 0), add the taps ci -> ky -> kx in reference order, then apply the fused
+  // epilogue and store. The input is pre-padded: taps the reference skips
+  // read zeros, and acc + 0.0f * w cannot change the accumulator's bits.
+  auto tile_body = [&](int64_t width) {
+    const ExprPtr acc_idx = add(mul(vc, imm(width)), vj);
+    std::vector<StmtPtr> body;
+    body.push_back(ir::make_decl_array("acc", DType::kFloat32, tc * width));
+    body.push_back(make_for(
+        {"c", tc, IterKind::kUnrolled},
+        {make_for({"j", width, IterKind::kVectorized},
+                  {make_store("acc", acc_idx,
+                              bias ? load("bias", co) : fimm(0.0))})}));
+
+    // in_c = g * cig + ci with g = co0 / cog (grouped); plain ci otherwise.
+    const ExprPtr in_c =
+        p.groups > 1 ? add(mul(div(co0, imm(cog)), imm(cig)), vci) : vci;
+    const ExprPtr row =
+        flat ? vky : add(mul(vy, imm(p.stride_h)), vky);  // padded input row
+    const ExprPtr col = flat ? add(add(p0, vj), vkx)
+                             : add(mul(add(p0, vj), imm(p.stride_w)), vkx);
+    const ExprPtr d_idx = add(
+        mul(add(mul(add(mul(vn, imm(p.in_channels)), in_c), imm(ph)), row),
+            imm(pw)),
+        col);
     const ExprPtr w_idx = add(
-        mul(add(mul(add(mul(vco, imm(cig)), vci), imm(p.kernel_h)), vky),
+        mul(add(mul(add(mul(co, imm(cig)), vci), imm(p.kernel_h)), vky),
             imm(p.kernel_w)),
         vkx);
-    // data[((n*CI + in_c) * PH + (y*SH + ky)) * PW + (x*SW + kx)]
-    const ExprPtr iy = add(mul(vy, imm(p.stride_h)), vky);
-    const ExprPtr ix = add(mul(vx, imm(p.stride_w)), vkx);
-    const ExprPtr d_idx =
-        add(mul(add(mul(add(mul(vn, imm(p.in_channels)), in_c), imm(ph)), iy),
-                imm(pw)),
-            ix);
-
-    std::vector<StmtPtr> x_body = {make_store(
-        "out", out_idx(vy, vx),
-        add(load("out", out_idx(vy, vx)), mul(load("data", d_idx), fvar("w"))))};
-    StmtPtr y_loop = make_for(
-        {"y", oh, IterKind::kSerial},
-        {make_for({"x", ow, IterKind::kVectorized}, std::move(x_body))});
-    StmtPtr kx_loop = make_for(
-        {"kx", p.kernel_w, IterKind::kSerial},
+    StmtPtr tap = make_for(
+        {"c", tc, IterKind::kUnrolled},
         {make_decl_local("w", DType::kFloat32, load("weight", w_idx)),
-         std::move(y_loop)});
-    StmtPtr ky_loop =
-        make_for({"ky", p.kernel_h, IterKind::kSerial}, {std::move(kx_loop)});
-    std::vector<StmtPtr> ci_body;
-    if (grouped) {
-      ci_body.push_back(make_decl_local(
-          "in_c", DType::kInt32,
-          add(mul(div(vco, imm(cog)), imm(cig)), vci)));
-    }
-    ci_body.push_back(std::move(ky_loop));
-    block.push_back(make_for({"ci", cig, IterKind::kSerial}, std::move(ci_body)));
-  }
+         make_for({"j", width, IterKind::kVectorized},
+                  {make_store("acc", acc_idx,
+                              add(load("acc", acc_idx),
+                                  mul(load("data", d_idx), fvar("w"))))})});
+    body.push_back(make_for(
+        {"ci", cig, IterKind::kSerial},
+        {make_for({"ky", p.kernel_h, IterKind::kSerial},
+                  {make_for({"kx", p.kernel_w, IterKind::kSerial},
+                            {std::move(tap)})})}));
 
-  // Fused epilogue, applied per element over the finished plane — the same
-  // per-element float expressions the reference epilogue ops use.
-  if (e.scale_shift || e.activation) {
-    ExprPtr v = fvar("v");
-    std::vector<StmtPtr> x_body;
-    x_body.push_back(
-        make_decl_local("v", DType::kFloat32, load("out", out_idx(vy, vx))));
+    // Epilogue: the reference epilogue ops' per-element float expressions.
+    const ExprPtr v = fvar("v");
+    std::vector<StmtPtr> store;
+    store.push_back(make_decl_local("v", DType::kFloat32, load("acc", acc_idx)));
     if (e.scale_shift) {
-      x_body.push_back(make_assign(
-          "v", add(mul(v, load("scale", vco)), load("shift", vco))));
+      store.push_back(
+          make_assign("v", add(mul(v, load("scale", co)), load("shift", co))));
     }
     if (e.activation) {
-      x_body.push_back(make_assign("v", apply_act(v, e.act, e.act_alpha)));
+      store.push_back(make_assign("v", apply_act(v, e.act, e.act_alpha)));
     }
-    x_body.push_back(make_store("out", out_idx(vy, vx), v));
-    block.push_back(make_for(
-        {"y", oh, IterKind::kSerial},
-        {make_for({"x", ow, IterKind::kVectorized}, std::move(x_body))}));
+    const ExprPtr plane = add(mul(vn, imm(p.out_channels)), co);
+    const ExprPtr x = flat ? var("x") : add(p0, vj);
+    store.push_back(make_store(
+        "out", add(mul(add(mul(plane, imm(oh)), vy), imm(ow)), x), v));
+    std::vector<StmtPtr> j_body;
+    if (flat) {
+      // Flat position p0 + j is (y, x) = divmod(p0 + j, PW); x >= OW is a
+      // pad column, computed but never stored.
+      const ExprPtr pos = add(p0, vj);
+      j_body = {make_decl_local("y", DType::kInt32, div(pos, imm(pw))),
+                make_decl_local("x", DType::kInt32, mod(pos, imm(pw))),
+                make_if(lt(x, imm(ow)), std::move(store))};
+    } else {
+      j_body = std::move(store);
+    }
+    body.push_back(make_for(
+        {"c", tc, IterKind::kUnrolled},
+        {make_for({"j", width, IterKind::kSerial}, std::move(j_body))}));
+    return body;
+  };
+
+  // Full tiles and the tail tile get separate bodies, so each one's loops
+  // have constant trip counts the host compiler unrolls and vectorizes.
+  if (full_tiles > 0) {
+    block.push_back(make_if(lt(p0, imm(full_tiles * tj)), tile_body(tj)));
+  }
+  if (tail > 0) {
+    block.push_back(
+        make_if(ir::binary(ir::BinOp::kGE, p0, imm(full_tiles * tj)),
+                tile_body(tail)));
   }
 
   k.body.push_back(make_for(
       {"n", p.batch, IterKind::kBlockZ},
-      {make_for({"co", p.out_channels, IterKind::kBlockY}, std::move(block))}));
+      {make_for({"cb", p.out_channels / tc, IterKind::kBlockY},
+                {make_for({"t", tiles, IterKind::kBlockX}, std::move(block))})}));
   return k;
 }
 

@@ -8,10 +8,12 @@
 // output element, same single-precision intermediates, min/max as the
 // std::min/std::max ternaries — so the executor can swap a JIT kernel for
 // the reference implementation with bit-identical outputs (given the JIT
-// toolchain's -ffp-contract=off). The only licensed deviations are ones that
-// cannot change bits: the convolution consumes a zero-padded input so the
-// out-of-bounds taps the reference skips become `acc + 0.0f * w` no-ops, and
-// independent outputs may be computed in any order.
+// toolchain's -ffp-contract=off, which holds at every ISA level). The only
+// licensed deviations are ones that cannot change bits: the convolution
+// consumes a zero-padded input so the out-of-bounds taps the reference skips
+// become `acc + 0.0f * w` no-ops, it computes (and discards) outputs in the
+// padded columns of its flat stride-1 tiles, and independent outputs may be
+// computed in any order.
 #pragma once
 
 #include "ir/expr.h"
@@ -34,14 +36,41 @@ struct HostEpilogue {
 /// path).
 bool host_act_supported(Activation act);
 
+/// Register tile of the host conv: each block keeps `tc` output channels x
+/// `tj` output positions in a local accumulator array for the whole
+/// ci -> ky -> kx reduction. Sized per x86-64 ISA level (DESIGN.md,
+/// "Host-JIT numerics backend"); not a tuning knob.
+struct HostConvTile {
+  int64_t tc = 0;
+  int64_t tj = 0;
+};
+
+/// The tile for the level codegen::jit::Toolchain::isa_level() reports
+/// (2, 3, 4; 0 is the compiler's baseline target).
+HostConvTile host_conv_tile(int isa_level);
+
 /// Direct convolution over a *pre-padded* input, any groups count
 /// (depthwise included). Buffers in order: data (N, CI, H+2ph, W+2pw),
-/// weight, [bias], [scale], [shift], out. Grid = batch x out_channels; one
-/// block computes one output plane: init with bias, accumulate ci -> ky ->
-/// kx with the spatial loops innermost, then the fused epilogue.
+/// weight, [bias], [scale], [shift], out.
+///
+/// Grid = batch x channel groups x position tiles. One block owns TC output
+/// channels (the largest divisor of the group's out-channels <= tile.tc, so
+/// depthwise runs TC = 1) times one tile of up to tile.tj positions, held in
+/// a local array: seeded from the bias (or 0), accumulated ci -> ky -> kx
+/// with TC weight scalars per tap, then the fused epilogue and the store.
+/// Full tiles and the tail tile are separate bodies with constant extents.
+///   * Stride 1: positions are flat, j = y * PW + x over the padded row
+///     pitch PW, so every tap reads one contiguous run. Positions with
+///     x >= OW (the PW - OW pad columns of each row) are computed from
+///     in-bounds padded data and dropped, never stored. J = (OH-1)*PW + OW
+///     positions cover the plane; the largest data index read is
+///     (PH-1)*PW + PW-1 of the plane.
+///   * Stride > 1: a tile is tile.tj consecutive x of one output row, plus
+///     an x tail per row.
 ir::LoweredKernel conv2d_build_host_ir(const Conv2dParams& p, bool bias,
                                        const HostEpilogue& e,
-                                       const std::string& name);
+                                       const std::string& name,
+                                       HostConvTile tile);
 
 /// Dense (GEMV) kernel. Buffers: data (N, CI), weight (CO, CI), [bias],
 /// out (N, CO). Grid = N*CO; the ci reduction runs ascending like

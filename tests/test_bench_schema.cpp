@@ -150,6 +150,13 @@ void validate_row(const obs::json::Value& row, const std::string& source) {
     EXPECT_TRUE(row.at("outputs_identical").as_bool()) << source;
     EXPECT_TRUE(row.at("sim_latency_identical").as_bool()) << source;
     EXPECT_GT(row.at("host_speedup").as_number(), 1.0) << source;
+    // Rows that name the JIT's compile flags (and so its ISA level) must
+    // name flags that keep the bit-identity contract.
+    if (row.has("jit_flags")) {
+      EXPECT_NE(row.at("jit_flags").as_string().find("-ffp-contract=off"),
+                std::string::npos)
+          << source;
+    }
   }
   if (row.has("sim_launches")) {
     // v3 counter summary: all-or-nothing.

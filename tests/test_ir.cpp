@@ -2,6 +2,9 @@
 // interpreter, conv2d lowering, and the OpenCL/CUDA printers.
 #include <gtest/gtest.h>
 
+#include <cmath>
+#include <limits>
+
 #include "codegen/codegen.h"
 #include "core/rng.h"
 #include "ir/expr.h"
@@ -98,6 +101,121 @@ TEST(Interp, MissingBufferThrows) {
   LoweredKernel k = make_saxpy(4, 1.0f);
   Tensor x = Tensor::zeros(Shape{4});
   EXPECT_THROW(interpret(k, {{"x", x}}), Error);
+}
+
+/// A register-tile shaped kernel: out[i] = sum_k x[k] * (i + 1), with the
+/// running sums held in a local array across the k loop.
+LoweredKernel make_local_array_kernel(int64_t n, int64_t m) {
+  LoweredKernel k;
+  k.name = "tile";
+  k.params = {{"x", DType::kFloat32, m, false},
+              {"out", DType::kFloat32, n, true}};
+  auto i = var("i");
+  k.body = {make_for(
+      {"b", 1, IterKind::kBlockX},
+      {make_decl_array("acc", DType::kFloat32, n),
+       make_for({"i", n, IterKind::kUnrolled},
+                {make_store("acc", i, fimm(0.0))}),
+       make_for({"k", m, IterKind::kSerial},
+                {make_for({"i", n, IterKind::kVectorized},
+                          {make_store("acc", i,
+                                      add(load("acc", i),
+                                          mul(load("x", var("k")),
+                                              add(i, imm(1)))))})}),
+       make_for({"i", n, IterKind::kSerial},
+                {make_store("out", i, load("acc", i))})})};
+  return k;
+}
+
+TEST(LocalArray, InterpreterAccumulatesInTheArray) {
+  Tensor x = Tensor::from_vector(Shape{3}, {1.0f, 2.0f, 4.0f});
+  Tensor out = Tensor::zeros(Shape{4});
+  interpret(make_local_array_kernel(4, 3), {{"x", x}, {"out", out}});
+  for (int64_t i = 0; i < 4; ++i) {
+    EXPECT_EQ(out.data_f32()[i], 7.0f * static_cast<float>(i + 1));
+  }
+}
+
+TEST(LocalArray, OutOfRangeIndexThrows) {
+  LoweredKernel k;
+  k.name = "oob_local";
+  k.params = {{"out", DType::kFloat32, 1, true}};
+  k.body = {make_decl_array("acc", DType::kFloat32, 4),
+            make_store("acc", imm(4), fimm(1.0))};
+  Tensor out = Tensor::zeros(Shape{1});
+  EXPECT_THROW(interpret(k, {{"out", out}}), Error);
+  k.body = {make_decl_array("acc", DType::kFloat32, 4),
+            make_store("out", imm(0), load("acc", imm(-1)))};
+  EXPECT_THROW(interpret(k, {{"out", out}}), Error);
+}
+
+TEST(LocalArray, ReadBeforeWriteIsNaN) {
+  LoweredKernel k;
+  k.name = "uninit";
+  k.params = {{"out", DType::kFloat32, 1, true}};
+  k.body = {make_decl_array("acc", DType::kFloat32, 2),
+            make_store("out", imm(0), load("acc", imm(1)))};
+  Tensor out = Tensor::zeros(Shape{1});
+  interpret(k, {{"out", out}});
+  EXPECT_TRUE(std::isnan(out.data_f32()[0]));
+}
+
+TEST(LocalArray, DevicePrintersEmitAPrivateArray) {
+  const LoweredKernel k = make_local_array_kernel(4, 3);
+  const std::string cl = codegen::emit_opencl(k);
+  EXPECT_NE(cl.find("__private float acc[4];"), std::string::npos) << cl;
+  EXPECT_NE(cl.find("acc[i] = (acc[i] + "), std::string::npos) << cl;
+  const std::string cu = codegen::emit_cuda(k);
+  EXPECT_NE(cu.find("  float acc[4];"), std::string::npos) << cu;
+  EXPECT_EQ(cu.find("__private"), std::string::npos) << cu;
+  EXPECT_NE(codegen::emit_cpp(k).find("float acc[4];"), std::string::npos);
+}
+
+TEST(LocalArray, SimplifyKeepsTheDeclaration) {
+  const LoweredKernel k = simplify(make_local_array_kernel(4, 3));
+  ASSERT_EQ(k.body.size(), 1u);
+  const StmtPtr& decl = k.body[0]->body.at(0);
+  EXPECT_EQ(decl->kind, StmtKind::kDeclArray);
+  EXPECT_EQ(decl->buffer, "acc");
+  EXPECT_EQ(decl->extent, 4);
+  EXPECT_EQ(decl->dtype, DType::kFloat32);
+  // The simplified kernel still computes the same result.
+  Tensor x = Tensor::from_vector(Shape{3}, {1.0f, 2.0f, 4.0f});
+  Tensor out = Tensor::zeros(Shape{4});
+  interpret(k, {{"x", x}, {"out", out}});
+  EXPECT_EQ(out.data_f32()[3], 28.0f);
+}
+
+// Infinities and NaN have no decimal spelling: each dialect prints a
+// literal its compiler accepts (OpenCL C predefines INFINITY and NAN; CUDA
+// reinterprets the IEEE bit pattern).
+TEST(Codegen, NonFiniteFloatImmediatesPerDialect) {
+  const double inf = std::numeric_limits<double>::infinity();
+  LoweredKernel k;
+  k.name = "nonfinite";
+  k.params = {{"out", DType::kFloat32, 3, true}};
+  k.body = {make_store("out", imm(0), fimm(inf)),
+            make_store("out", imm(1), fimm(-inf)),
+            make_store("out", imm(2),
+                       fimm(std::numeric_limits<double>::quiet_NaN()))};
+  const std::string cl = codegen::emit_opencl(k);
+  EXPECT_NE(cl.find("out[0] = INFINITY;"), std::string::npos) << cl;
+  EXPECT_NE(cl.find("out[1] = (-INFINITY);"), std::string::npos) << cl;
+  EXPECT_NE(cl.find("out[2] = NAN;"), std::string::npos) << cl;
+  const std::string cu = codegen::emit_cuda(k);
+  EXPECT_NE(cu.find("out[0] = __int_as_float(0x7f800000);"), std::string::npos)
+      << cu;
+  EXPECT_NE(cu.find("out[1] = __int_as_float(0xff800000);"), std::string::npos)
+      << cu;
+  EXPECT_NE(cu.find("out[2] = __int_as_float(0x7fffffff);"), std::string::npos)
+      << cu;
+  const std::string cpp = codegen::emit_cpp(k);
+  EXPECT_NE(cpp.find("out[0LL] = __builtin_inff();"), std::string::npos) << cpp;
+  EXPECT_NE(cpp.find("out[1LL] = (-__builtin_inff());"), std::string::npos)
+      << cpp;
+  EXPECT_NE(cpp.find("out[2LL] = __builtin_nanf(\"\");"), std::string::npos)
+      << cpp;
+  EXPECT_EQ(cpp.find("inff;"), std::string::npos) << cpp;
 }
 
 TEST(Codegen, OpenClUsesOpenClIdioms) {

@@ -7,16 +7,23 @@
 // Every test that needs the host toolchain skips cleanly when none exists.
 #include <gtest/gtest.h>
 
+#include <cmath>
 #include <cstdio>
+#include <cstring>
 #include <filesystem>
 #include <fstream>
+#include <limits>
+#include <sstream>
 #include <thread>
 #include <vector>
 
+#include "codegen/codegen.h"
 #include "codegen/jit.h"
 #include "codegen/jit_lower.h"
 #include "core/compiler.h"
+#include "ir/interp.h"
 #include "obs/metrics.h"
+#include "ops/nn/host_kernels.h"
 #include "sim/device_spec.h"
 
 namespace igc {
@@ -245,6 +252,253 @@ TEST(KernelCache, BrokenSourceFailsOnceAndIsRemembered) {
   EXPECT_EQ(counter_delta(s0, s1, "jit.compile_errors"), 1);
 }
 
+// ---- the register-tiled conv lowering, kernel by kernel ------------------
+
+/// Same shape, dtype and bytes: the JIT's contract. Unlike
+/// max_abs_diff() == 0 this tells +0.0 from -0.0 (and NaN payloads apart).
+::testing::AssertionResult same_bytes(const Tensor& a, const Tensor& b) {
+  if (a.shape() != b.shape()) {
+    return ::testing::AssertionFailure()
+           << "shape " << a.shape().str() << " vs " << b.shape().str();
+  }
+  if (a.dtype() != b.dtype()) {
+    return ::testing::AssertionFailure() << "dtype differs";
+  }
+  if (std::memcmp(a.raw_data(), b.raw_data(),
+                  static_cast<size_t>(a.nbytes())) != 0) {
+    return ::testing::AssertionFailure()
+           << "bytes differ (max_abs_diff " << a.max_abs_diff(b) << ")";
+  }
+  return ::testing::AssertionSuccess();
+}
+
+/// One conv of the matrix: geometry plus the fused epilogue.
+struct ConvCase {
+  int64_t ci, h, w, co, k, stride, pad, groups;
+  bool bias;
+  bool scale_shift;
+  bool act;
+  ops::Activation kind = ops::Activation::kRelu;
+
+  ops::Conv2dParams params() const {
+    ops::Conv2dParams p;
+    p.batch = 2;
+    p.in_channels = ci;
+    p.in_h = h;
+    p.in_w = w;
+    p.out_channels = co;
+    p.kernel_h = p.kernel_w = k;
+    p.stride_h = p.stride_w = stride;
+    p.pad_h = p.pad_w = pad;
+    p.groups = groups;
+    return p;
+  }
+  ops::HostEpilogue epilogue() const {
+    ops::HostEpilogue e;
+    e.scale_shift = scale_shift;
+    e.activation = act;
+    e.act = kind;
+    e.act_alpha = 0.1f;
+    return e;
+  }
+};
+
+// Strides 1 and 2; kernels 1/3/5/7; pads 0-3; OW 7, 13, 14 and 56 (the x
+// tails of strided tiles and the J mod TJ tails of flat ones); out-channels
+// 6, 10 and 64 (TC = 4, 3 or 2 at the levels' tiles); groups 1, 2 and
+// depthwise; bias on and off; fused scale-shift, relu and leaky relu. The
+// inputs stay small so the interpreter replays every kernel in seconds.
+const std::vector<ConvCase>& conv_matrix() {
+  using ops::Activation;
+  static const std::vector<ConvCase> cases = {
+      // ci  h   w    co  k  s  p  g   bias   ss     act
+      {4, 7, 7, 6, 1, 1, 0, 1, true, false, false},
+      {3, 13, 13, 10, 3, 1, 1, 1, true, false, true},
+      {8, 5, 14, 64, 1, 1, 0, 1, false, true, true},
+      {2, 7, 13, 6, 7, 1, 3, 1, true, false, true, Activation::kLeakyRelu},
+      {2, 3, 56, 10, 3, 1, 1, 2, true, true, false},
+      {6, 14, 14, 6, 3, 1, 1, 6, true, false, true},
+      {2, 14, 14, 6, 5, 1, 2, 1, true, true, true},
+      {4, 9, 9, 64, 3, 1, 0, 2, false, false, false},
+      {10, 13, 13, 10, 3, 2, 1, 10, false, true, false},
+      {3, 8, 28, 6, 7, 2, 3, 1, true, false, true, Activation::kLeakyRelu},
+      {4, 14, 14, 64, 1, 2, 0, 1, true, false, true},
+      {4, 5, 113, 10, 3, 2, 0, 2, true, false, false},
+      {4, 13, 13, 10, 5, 2, 2, 1, false, false, true, Activation::kLeakyRelu},
+      {6, 6, 14, 6, 3, 2, 1, 6, true, true, true},
+  };
+  return cases;
+}
+
+/// Every element within `tol`; a NaN anywhere (an interpreter local-array
+/// read before its first write is NaN) fails, where max_abs_diff would skip it.
+::testing::AssertionResult within(const Tensor& a, const Tensor& b,
+                                  float tol) {
+  for (int64_t i = 0; i < a.numel(); ++i) {
+    const float d = std::fabs(a.data_f32()[i] - b.data_f32()[i]);
+    if (!(d <= tol)) {
+      return ::testing::AssertionFailure()
+             << "element " << i << ": " << a.data_f32()[i] << " vs "
+             << b.data_f32()[i];
+    }
+  }
+  return ::testing::AssertionSuccess();
+}
+
+/// The distinct tiles of every ISA level, so a host at one level still
+/// lowers (and checks) the others' tile shapes.
+std::vector<ops::HostConvTile> level_tiles() {
+  std::vector<ops::HostConvTile> tiles;
+  for (int level : {0, 2, 3, 4}) {
+    const ops::HostConvTile t = ops::host_conv_tile(level);
+    bool seen = false;
+    for (const auto& u : tiles) seen |= u.tc == t.tc && u.tj == t.tj;
+    if (!seen) tiles.push_back(t);
+  }
+  return tiles;
+}
+
+/// Zero-pads NCHW `x` spatially, as the executor does for kPaddedInput0.
+Tensor zero_padded(const Tensor& x, int64_t pad) {
+  const Shape& s = x.shape();
+  Tensor out = Tensor::zeros(Shape{s[0], s[1], s[2] + 2 * pad, s[3] + 2 * pad});
+  for (int64_t nc = 0; nc < s[0] * s[1]; ++nc) {
+    for (int64_t y = 0; y < s[2]; ++y) {
+      for (int64_t x_ = 0; x_ < s[3]; ++x_) {
+        out.at4(nc / s[1], nc % s[1], y + pad, x_ + pad) =
+            x.at4(nc / s[1], nc % s[1], y, x_);
+      }
+    }
+  }
+  return out;
+}
+
+TEST(JitConvLowering, MatrixMatchesReferenceBytesAtEveryLevelTile) {
+  SKIP_WITHOUT_TOOLCHAIN();
+  struct Built {
+    const ConvCase* c;
+    ops::HostConvTile tile;
+    ir::LoweredKernel kernel;
+  };
+  std::vector<Built> built;
+  std::ostringstream src;
+  for (const ops::HostConvTile& tile : level_tiles()) {
+    for (const ConvCase& c : conv_matrix()) {
+      const std::string sym = "conv_case" + std::to_string(built.size());
+      built.push_back({&c, tile,
+                       ops::conv2d_build_host_ir(c.params(), c.bias,
+                                                 c.epilogue(), sym, tile)});
+      src << codegen::emit_cpp(built.back().kernel) << "\n";
+    }
+  }
+  // One module for the whole matrix, through the real toolchain and flags.
+  TempCacheDir dir;
+  KernelCache cache(dir.path.string());
+  std::string err;
+  std::shared_ptr<Module> module = cache.load_or_compile(src.str(), &err);
+  ASSERT_NE(module, nullptr) << err;
+
+  Rng rng(31);
+  for (const Built& b : built) {
+    const ConvCase& c = *b.c;
+    const ops::Conv2dParams p = c.params();
+    SCOPED_TRACE(p.workload_key() + " tile " + std::to_string(b.tile.tc) +
+                 "x" + std::to_string(b.tile.tj) + (c.bias ? " bias" : "") +
+                 (c.scale_shift ? " ss" : "") + (c.act ? " act" : ""));
+    const Tensor input = Tensor::random_normal(
+        Shape{p.batch, p.in_channels, p.in_h, p.in_w}, rng, 1.0f);
+    const Tensor weight = Tensor::random_normal(
+        Shape{p.out_channels, p.in_channels / p.groups, p.kernel_h,
+              p.kernel_w},
+        rng, 0.5f);
+    const Tensor bias = Tensor::random_normal(Shape{p.out_channels}, rng);
+    const Tensor scale = Tensor::random_normal(Shape{p.out_channels}, rng);
+    const Tensor shift = Tensor::random_normal(Shape{p.out_channels}, rng);
+
+    Tensor expected = ops::conv2d_reference(input, weight,
+                                            c.bias ? &bias : nullptr, p);
+    if (c.scale_shift) {
+      expected = ops::scale_shift_reference(expected, scale, shift);
+    }
+    if (c.act) expected = ops::activation_reference(expected, c.kind, 0.1f);
+
+    // Bind the buffers in the kernel's parameter order.
+    const Tensor padded = zero_padded(input, p.pad_h);
+    Tensor out = Tensor::full(expected.shape(), -7.0f);
+    std::map<std::string, Tensor> named = {
+        {"data", padded}, {"weight", weight}, {"bias", bias},
+        {"scale", scale}, {"shift", shift},   {"out", out}};
+    std::vector<float*> args;
+    std::map<std::string, Tensor> bound;
+    for (const ir::BufferParam& param : b.kernel.params) {
+      Tensor& t = named.at(param.name);
+      ASSERT_EQ(t.numel(), param.size) << param.name;
+      args.push_back(t.data_f32());
+      bound.emplace(param.name, t);
+    }
+    auto fn = reinterpret_cast<KernelFn>(module->symbol(b.kernel.name));
+    ASSERT_NE(fn, nullptr);
+    // One block at a time, last to first: the dispatcher may run grid
+    // chunks in any order, so a block that writes outside its own outputs
+    // (a pad column it should drop, say) clobbers a finished block here.
+    for (int64_t blk = b.kernel.grid_size(); blk-- > 0;) {
+      fn(args.data(), blk, blk + 1);
+    }
+    EXPECT_TRUE(same_bytes(out, expected));
+
+    // The interpreter bounds-checks every load, so a tap outside the padded
+    // plane fails here instead of reading the neighbouring plane.
+    Tensor interp_out = Tensor::full(expected.shape(), -7.0f);
+    bound.at("out") = interp_out;
+    ASSERT_NO_THROW(ir::interpret(b.kernel, bound));
+    EXPECT_TRUE(within(interp_out, expected, 1e-4f));
+  }
+}
+
+// Infinities and NaN have no decimal literal: the host printer must spell
+// them so the module compiles and stores exactly those values.
+TEST(JitCodegen, NonFiniteFloatImmediatesCompileAndStore) {
+  SKIP_WITHOUT_TOOLCHAIN();
+  const double inf = std::numeric_limits<double>::infinity();
+  ir::LoweredKernel k;
+  k.name = "igc_nonfinite";
+  k.params = {{"out", DType::kFloat32, 3, true}};
+  k.body = {ir::make_for(
+      {"b", 1, ir::IterKind::kBlockX},
+      {ir::make_store("out", ir::imm(0), ir::fimm(inf)),
+       ir::make_store("out", ir::imm(1), ir::fimm(-inf)),
+       ir::make_store("out", ir::imm(2),
+                      ir::fimm(std::numeric_limits<double>::quiet_NaN()))})};
+  TempCacheDir dir;
+  KernelCache cache(dir.path.string());
+  std::string err;
+  std::shared_ptr<Module> m = cache.load_or_compile(codegen::emit_cpp(k), &err);
+  ASSERT_NE(m, nullptr) << err;
+  auto fn = reinterpret_cast<KernelFn>(m->symbol(k.name));
+  ASSERT_NE(fn, nullptr);
+  float out[3] = {0.0f, 0.0f, 0.0f};
+  float* bufs[1] = {out};
+  fn(bufs, 0, 1);
+  EXPECT_EQ(out[0], std::numeric_limits<float>::infinity());
+  EXPECT_EQ(out[1], -std::numeric_limits<float>::infinity());
+  EXPECT_TRUE(std::isnan(out[2]));
+}
+
+TEST(Toolchain, FlagsNameTheIsaLevel) {
+  SKIP_WITHOUT_TOOLCHAIN();
+  const Toolchain& tc = Toolchain::host();
+  EXPECT_NE(tc.flags().find("-ffp-contract=off"), std::string::npos);
+  if (tc.isa_level() == 0) {
+    EXPECT_EQ(tc.flags().find("-march="), std::string::npos);
+  } else {
+    EXPECT_GE(tc.isa_level(), 2);
+    EXPECT_LE(tc.isa_level(), 4);
+    const std::string march =
+        "-march=x86-64-v" + std::to_string(tc.isa_level());
+    EXPECT_EQ(tc.flags().substr(tc.flags().size() - march.size()), march);
+  }
+}
+
 // ---- end-to-end: JIT vs reference bit-identity --------------------------
 
 CompileOptions jit_opts(const std::string& cache_dir) {
@@ -275,7 +529,7 @@ void expect_bit_identical(const CompiledModel& cm) {
     const RunResult r = cm.run(jit);
     const RunResult& ref =
         mode == graph::ExecMode::kSequential ? ref_seq : ref_wave;
-    EXPECT_EQ(r.output.max_abs_diff(ref_seq.output), 0.0f)
+    EXPECT_TRUE(same_bytes(r.output, ref_seq.output))
         << cm.model_name() << " mode=" << static_cast<int>(mode);
     // Simulated time is computed from charges, never from host numerics:
     // the JIT must not move it by a single bit.

@@ -22,6 +22,7 @@
 #include <cstdlib>
 #include <cstring>
 #include <future>
+#include <optional>
 #include <string>
 #include <thread>
 #include <utility>
@@ -107,7 +108,9 @@ void usage(const char* argv0, std::FILE* out) {
       "  --trials N              tuning trials per conv workload\n"
       "  --untuned               skip tensor-level tuning\n"
       "  --fallback-nms          force vision block onto the CPU\n"
-      "  --passes a,b,c          explicit pass pipeline (run order)\n"
+      "  --passes a,b,c          explicit pass pipeline (run order); must\n"
+      "                          include dce or place, which compact the\n"
+      "                          graph\n"
       "  --no-pass NAME          disable one pass (repeatable)\n"
       "  --dump-graph-after NAME dump the graph after one pass\n"
       "  --save-db PATH / --load-db PATH   persist / warm the TuneDb\n"
@@ -358,7 +361,16 @@ int main(int argc, char** argv) {
   models::Model model = build_by_name(model_name, rng);
   std::printf("compiling %s for %s (%d trials/workload)...\n",
               model.name.c_str(), platform.name.c_str(), opts.tune_trials);
-  const CompiledModel cm = compile(std::move(model), platform, opts);
+  // A bad pipeline (an unknown pass name, or one that never compacts the
+  // graph with dce or place) is a usage error, not a crash.
+  std::optional<CompiledModel> compiled;
+  try {
+    compiled.emplace(compile(std::move(model), platform, opts));
+  } catch (const Error& e) {
+    std::fprintf(stderr, "compile failed: %s\n", e.what());
+    return 2;
+  }
+  const CompiledModel& cm = *compiled;
   std::printf("  passes:");
   for (const auto& st : cm.pass_report()) {
     std::printf(" %s(%d rewrites, %.2f ms)", st.pass.c_str(), st.rewrites,

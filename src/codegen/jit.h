@@ -165,10 +165,8 @@ enum class ArgKind {
   kPaddedInput0,  // first input, spatially zero-padded into worker scratch
   kWeight,
   kBias,
-  kScale,       // node's scale tensor (kScaleShift)
-  kShift,       // node's shift tensor
-  kFusedScale,  // conv's folded-BN epilogue tensors
-  kFusedShift,
+  kScale,  // node's scale tensor (kScaleShift)
+  kShift,  // node's shift tensor
   kOutput,
 };
 

@@ -50,7 +50,6 @@ struct NodePlan {
 
 ops::HostEpilogue node_epilogue(const Node& n) {
   ops::HostEpilogue e;
-  e.scale_shift = n.fused_scale_shift;
   e.activation = n.fused_activation;
   e.act = n.fused_act;
   e.act_alpha = n.fused_act_alpha;
@@ -63,7 +62,6 @@ bool epilogue_supported(const Node& n) {
 }
 
 void sig_epilogue(std::ostringstream& os, const ops::HostEpilogue& e) {
-  if (e.scale_shift) os << "_ss";
   if (e.activation) {
     os << "_act" << static_cast<int>(e.act);
     if (e.act == ops::Activation::kLeakyRelu) os << "a" << e.act_alpha;
@@ -97,7 +95,6 @@ LowerResult build_dispatch_table(const graph::Graph& g, KernelCache& cache,
   const auto t_lower = Clock::now();
   std::vector<NodePlan> plans;
   std::map<std::string, PendingKernel> kernels;  // signature -> kernel
-  const std::vector<bool> live = g.live_mask();
 
   auto intern = [&](const std::string& sig,
                     const std::function<ir::LoweredKernel(
@@ -111,7 +108,6 @@ LowerResult build_dispatch_table(const graph::Graph& g, KernelCache& cache,
   };
 
   for (const Node& n : g.nodes()) {
-    if (!live[n.id]) continue;
     NodePlan plan;
     plan.node_id = n.id;
     switch (n.kind) {
@@ -132,15 +128,11 @@ LowerResult build_dispatch_table(const graph::Graph& g, KernelCache& cache,
         plan.kernel.pad_w = p.pad_w;
         plan.kernel.args = {ArgKind::kPaddedInput0, ArgKind::kWeight};
         if (bias) plan.kernel.args.push_back(ArgKind::kBias);
-        if (e.scale_shift) {
-          plan.kernel.args.push_back(ArgKind::kFusedScale);
-          plan.kernel.args.push_back(ArgKind::kFusedShift);
-        }
         plan.kernel.args.push_back(ArgKind::kOutput);
         break;
       }
       case OpKind::kDense: {
-        if (!epilogue_supported(n) || n.fused_scale_shift) continue;
+        if (!epilogue_supported(n)) continue;
         const ops::DenseParams& p = n.dense;
         const bool bias = n.bias.defined();
         const ops::HostEpilogue e = node_epilogue(n);
@@ -159,7 +151,7 @@ LowerResult build_dispatch_table(const graph::Graph& g, KernelCache& cache,
         break;
       }
       case OpKind::kAdd: {
-        if (!epilogue_supported(n) || n.fused_scale_shift) continue;
+        if (!epilogue_supported(n)) continue;
         const int64_t numel = n.out_shape.numel();
         const ops::HostEpilogue e = node_epilogue(n);
         std::ostringstream sig;
@@ -175,10 +167,7 @@ LowerResult build_dispatch_table(const graph::Graph& g, KernelCache& cache,
         break;
       }
       case OpKind::kActivation: {
-        if (!ops::host_act_supported(n.act) || n.fused_activation ||
-            n.fused_scale_shift) {
-          continue;
-        }
+        if (!ops::host_act_supported(n.act) || n.fused_activation) continue;
         const int64_t numel = n.out_shape.numel();
         std::ostringstream sig;
         sig << "act" << static_cast<int>(n.act) << "_" << numel;
@@ -192,7 +181,9 @@ LowerResult build_dispatch_table(const graph::Graph& g, KernelCache& cache,
         break;
       }
       case OpKind::kScaleShift: {
-        if (n.fused_activation || n.fused_scale_shift) continue;
+        // The scale_shift kernel has no activation epilogue: a fused one
+        // keeps the node on the reference path.
+        if (n.fused_activation) continue;
         if (n.out_shape.ndim() < 2) continue;
         const int64_t nb = n.out_shape[0];
         const int64_t c = n.out_shape[1];

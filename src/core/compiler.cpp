@@ -191,14 +191,13 @@ const CompiledModel::ShapeVariant* CompiledModel::resolve_variant(
   v->batch = key.first;
   v->hw = key.second;
   v->graph = graph::rebind_shapes(graph_, b, hw == spec.seed_hw ? 0 : hw);
-  // Same buffer assignment, re-resolved sizes — no plan_memory() call.
+  // Same buffer assignment and release lists, re-resolved sizes — no
+  // plan_memory() call.
   v->plan = *plan_;
   v->plan.buffer_bytes = graph::resolve_buffer_bytes(*plan_, v->graph);
   v->plan.unshared_bytes = 0;
   for (const graph::Node& n : v->graph.nodes()) {
-    if (v->plan.buffer_of_node[static_cast<size_t>(n.id)] >= 0) {
-      v->plan.unshared_bytes += n.out_shape.numel() * 4;
-    }
+    v->plan.unshared_bytes += n.out_shape.numel() * 4;
   }
   // A rebound conv is a different workload: look it up at the same block
   // (no tuning trials happen here).

@@ -84,9 +84,10 @@ struct CompileOptions {
   /// Explicit pass order; empty runs graph::default_pass_names(). Unknown
   /// names raise igc::Error at compile() time.
   std::vector<std::string> pass_names;
-  /// Passes dropped from the pipeline (whatever its order). The compiler
-  /// tolerates any subset: the executor and memory planner handle
-  /// un-compacted and unplaced graphs.
+  /// Passes dropped from the pipeline (whatever its order). The pipeline
+  /// that remains must compact the graph (keep `dce` or `place`): compile()
+  /// raises igc::Error from the memory planner otherwise. Unplaced graphs
+  /// run (every node on the GPU lane).
   std::set<std::string> disabled_passes;
   /// Run Graph::validate() after every pass (compile-time cost only).
   bool validate_after_each_pass = false;

@@ -41,7 +41,6 @@ struct NodeCtx {
   sim::SimClock clock;
   sim::GpuSimulator gpu;
   Rng rng;
-  std::string schedule;  // conv ScheduleConfig str, captured on traced runs
   NodeCtx(const sim::DeviceSpec& dev, uint64_t seed)
       : gpu(dev, clock), rng(seed) {}
 };
@@ -54,7 +53,6 @@ struct NodeRun {
   double host_start_us = 0.0;  // wall clock relative to the run epoch
   double host_end_us = 0.0;
   uint64_t host_thread = 0;    // hashed std::thread::id
-  std::string schedule;        // chosen conv ScheduleConfig (traced runs)
 };
 
 /// Per-worker reusable buffers for JIT dispatch: the kernel-argument array
@@ -112,28 +110,21 @@ class ExecutorImpl {
     if (opts_.trace != nullptr) run_epoch_ = std::chrono::steady_clock::now();
     const size_t n_nodes = static_cast<size_t>(g_.num_nodes());
     values_.resize(n_nodes);
-    layout_block_.assign(n_nodes, 1);
     node_runs_.resize(n_nodes);
-    compute_liveness();
+    compute_layouts();
     compute_data_reads();
     base_seed_ = input_rng_.next_u64();
     setup_arena();
 
-    // Reference counts for eager buffer release (the runtime analogue of the
-    // memory planner): a node's tensor is dropped after its last consumer.
-    pending_.assign(n_nodes, 0);
-    for (const Node& n : g_.nodes()) {
-      if (!live(n.id)) continue;
-      for (int in : n.inputs) ++pending_[static_cast<size_t>(in)];
-    }
-
     try {
-      // Every live node runs in id (topological) order on the calling
-      // thread; the mode only picks which time model finalize() reports.
+      // Every node runs in id (topological) order on the calling thread; the
+      // mode only picks which time model finalize() reports. After each
+      // node, the values it read for the last time go back to the arena.
       for (const Node& n : g_.nodes()) {
-        if (!live(n.id)) continue;
         node_runs_[static_cast<size_t>(n.id)] = exec_one(n);
-        on_node_done(n);
+        for (int v : plan_->release_after[static_cast<size_t>(n.id)]) {
+          release_value(val(v));
+        }
       }
     } catch (...) {
       release_all_arena();
@@ -143,8 +134,6 @@ class ExecutorImpl {
   }
 
  private:
-  bool live(int id) const { return live_[static_cast<size_t>(id)]; }
-
   /// Arena invariants, checked up front so misuse fails with a clear
   /// igc::Error instead of a deep assertion: the caller-provided (arena,
   /// plan) pair comes together or not at all, and a provided plan must have
@@ -157,8 +146,10 @@ class ExecutorImpl {
         << "ExecOptions: a plan but no arena — pass the BufferArena sized "
            "from the plan (or neither, for a private per-run arena)";
     if (opts_.plan != nullptr) {
-      IGC_CHECK_EQ(static_cast<int>(opts_.plan->buffer_of_node.size()),
-                   g_.num_nodes())
+      IGC_CHECK(static_cast<int>(opts_.plan->buffer_of_node.size()) ==
+                    g_.num_nodes() &&
+                static_cast<int>(opts_.plan->release_after.size()) ==
+                    g_.num_nodes())
           << "ExecOptions: the provided MemoryPlan was computed for a "
              "different graph (node count mismatch)";
       IGC_CHECK_EQ(opts_.arena->num_buffers(),
@@ -168,9 +159,52 @@ class ExecutorImpl {
     }
   }
 
-  // Compacted graphs (the default pipeline) are fully live; the mask only
-  // filters dead markers when a custom pipeline skipped compaction.
-  void compute_liveness() { live_ = g_.live_mask(); }
+  /// The layout block each node's output carries: a conv its schedule's
+  /// layout_block (the unscheduled template is NCHW, block 1), the
+  /// layout-transparent ops their first input's, everything else block 1.
+  void compute_layouts() {
+    layout_block_.assign(static_cast<size_t>(g_.num_nodes()), 1);
+    for (const Node& n : g_.nodes()) {
+      int& block = layout_block_[static_cast<size_t>(n.id)];
+      switch (n.kind) {
+        case OpKind::kConv2d:
+          block = static_cast<int>(n.schedule.get_or("layout_block", 1));
+          break;
+        case OpKind::kActivation:
+        case OpKind::kScaleShift:
+        case OpKind::kAdd:
+        case OpKind::kPool2d:
+        case OpKind::kUpsample2x:
+        case OpKind::kDeviceCopy:
+          block = layout_block_[static_cast<size_t>(n.inputs[0])];
+          break;
+        default:
+          break;
+      }
+    }
+  }
+
+  /// The layout block node `n` reads its inputs in: a conv its own, the
+  /// plain-layout consumers 1. 0 reads whatever arrives, charging no
+  /// transform (layout-transparent ops, concat, global pooling, ...).
+  int required_layout(const Node& n) const {
+    switch (n.kind) {
+      case OpKind::kConv2d:
+        return layout_block_[static_cast<size_t>(n.id)];
+      case OpKind::kConv2dTranspose:
+      case OpKind::kDense:
+      case OpKind::kFlatten:
+      case OpKind::kSoftmax:
+      case OpKind::kMultiboxDetection:
+      case OpKind::kSsdDetection:
+      case OpKind::kYoloDecode:
+      case OpKind::kBoxNms:
+      case OpKind::kRoiAlign:
+        return 1;
+      default:
+        return 0;
+    }
+  }
 
   /// Marks the nodes whose output data some later step reads. With numerics
   /// on, that is every node. With numerics off, the only readers are the
@@ -185,7 +219,6 @@ class ExecutorImpl {
     data_read_[static_cast<size_t>(g_.output())] = true;
     for (int id = g_.num_nodes() - 1; id >= 0; --id) {
       const Node& n = g_.node(id);
-      if (!live(id)) continue;
       bool reads = false;
       switch (n.kind) {
         case OpKind::kMultiboxDetection:
@@ -240,10 +273,7 @@ class ExecutorImpl {
     exec_node(cx, n);
     r.ms = cx.clock.total_ms();
     r.events = cx.clock.events();
-    if (traced) {
-      r.schedule = std::move(cx.schedule);
-      r.host_end_us = host_us_since_epoch();
-    }
+    if (traced) r.host_end_us = host_us_since_epoch();
     return r;
   }
 
@@ -251,16 +281,6 @@ class ExecutorImpl {
     return std::chrono::duration<double, std::micro>(
                std::chrono::steady_clock::now() - run_epoch_)
         .count();
-  }
-
-  /// Post-execution bookkeeping for one node: eager release of inputs whose
-  /// last consumer just ran.
-  void on_node_done(const Node& n) {
-    for (int in : n.inputs) {
-      if (--pending_[static_cast<size_t>(in)] == 0 && in != g_.output()) {
-        release_value(val(in));
-      }
-    }
   }
 
   void release_value(Value& v) {
@@ -288,7 +308,6 @@ class ExecutorImpl {
     result.events.reserve(total_events);
     std::vector<double> finish(static_cast<size_t>(g_.num_nodes()), 0.0);
     for (const Node& n : g_.nodes()) {
-      if (!live(n.id)) continue;
       const NodeRun& r = node_runs_[static_cast<size_t>(n.id)];
       serial += r.ms;
       attribute(n, r.ms, result);
@@ -341,7 +360,11 @@ class ExecutorImpl {
       s.bytes += e.bytes;
       s.counters.merge(e.counters);
     }
-    s.schedule = r.schedule;
+    if (n.kind == OpKind::kConv2d) {
+      s.schedule = n.schedule.knobs().empty()
+                       ? ops::conv2d_manual_schedule(n.conv, platform_.gpu).str()
+                       : n.schedule.str();
+    }
     opts_.trace->record(std::move(s));
   }
 
@@ -368,7 +391,6 @@ class ExecutorImpl {
     static auto& sim_occ_pct = m.histogram("sim.launch_occupancy_pct");
     runs.add(1);
     for (const Node& n : g_.nodes()) {
-      if (!live(n.id)) continue;
       nodes.add(1);
       if (categorize(n.kind, n.place) == sim::OpCategory::kFallback) {
         fallbacks.add(1);
@@ -440,7 +462,6 @@ class ExecutorImpl {
   Tensor arena_acquire(const Node& n, const Shape& shape, DType dtype,
                        bool zero_fill) {
     const int buf = plan_->buffer_of_node[static_cast<size_t>(n.id)];
-    IGC_CHECK_GE(buf, 0) << "live node " << n.name << " has no planned buffer";
     val(n.id).arena_buffer = buf;
     return arena_->acquire(buf, shape, dtype, zero_fill);
   }
@@ -474,8 +495,6 @@ class ExecutorImpl {
     const Value& src = val(n.inputs[0]);
     if (src.materialized) {
       const int buf = plan_->buffer_of_node[static_cast<size_t>(n.id)];
-      IGC_CHECK_GE(buf, 0) << "live node " << n.name
-                           << " has no planned buffer";
       v.tensor = arena_->acquire_shared(buf, src.arena_buffer, n.out_shape,
                                         src.tensor.dtype());
       v.arena_buffer = buf;
@@ -504,12 +523,13 @@ class ExecutorImpl {
     }
   }
 
-  /// Charges a layout transform on an edge whose producer layout block
-  /// differs from what this node requires.
-  void charge_layout_edges(NodeCtx& cx, const Node& n, int required_block) {
+  /// Charges a layout transform on each input edge whose producer's layout
+  /// block differs from the one this node requires.
+  void charge_layout_edges(NodeCtx& cx, const Node& n) {
+    const int required = required_layout(n);
+    if (required == 0) return;
     for (int in : n.inputs) {
-      const int have = layout_block_[static_cast<size_t>(in)];
-      if (have == required_block) continue;
+      if (layout_block_[static_cast<size_t>(in)] == required) continue;
       const Node& producer = g_.node(in);
       // A layout transform is a GPU kernel whoever consumes its output:
       // charge it on the GPU lane explicitly so transforms feeding a
@@ -521,29 +541,10 @@ class ExecutorImpl {
     }
   }
 
-  /// Layout a node's output carries forward.
-  int propagate_layout(const Node& n, int own_block) {
-    switch (n.kind) {
-      case OpKind::kConv2d:
-        return own_block;
-      case OpKind::kActivation:
-      case OpKind::kScaleShift:
-      case OpKind::kAdd:
-      case OpKind::kPool2d:
-      case OpKind::kUpsample2x:
-      case OpKind::kDeviceCopy:
-        return n.inputs.empty()
-                   ? 1
-                   : layout_block_[static_cast<size_t>(n.inputs[0])];
-      default:
-        return 1;  // everything else requires/produces plain layout
-    }
-  }
-
   void exec_node(NodeCtx& cx, const Node& n) {
+    charge_layout_edges(cx, n);
     switch (n.kind) {
       case OpKind::kInput: {
-        layout_block_[static_cast<size_t>(n.id)] = 1;
         if (!data_read_[static_cast<size_t>(n.id)]) {  // see compute_data_reads
           set_placeholder(n);
           return;
@@ -565,131 +566,15 @@ class ExecutorImpl {
         std::memcpy(v.tensor.raw_data(), n.weight.raw_data(),
                     static_cast<size_t>(n.weight.nbytes()));
         v.materialized = true;
-        layout_block_[static_cast<size_t>(n.id)] = 1;
         return;
       }
-      case OpKind::kConv2d:
-        exec_conv(cx, n);
-        return;
-      case OpKind::kConv2dTranspose: {
-        charge_layout_edges(cx, n, 1);
-        if (n.place == Place::kCpu) {
-          cx.clock.charge_cpu(platform_.cpu, n.deconv.flops(),
-                              n.weight.nbytes(), 0.9, n.name);
-        } else {
-          cx.clock.charge(platform_.gpu,
-                          ops::conv2d_transpose_kernel_cost(n.deconv,
-                                                            platform_.gpu));
-        }
-        finish_heavy(n, [&] {
-          Tensor t = ops::conv2d_transpose_reference(
-              in_tensor(n), n.weight, n.bias.defined() ? &n.bias : nullptr,
-              n.deconv);
-          if (n.fused_activation) {
-            t = ops::activation_reference(t, n.fused_act, n.fused_act_alpha);
-          }
-          return t;
-        });
-        return;
-      }
-      case OpKind::kScaleShift: {
-        charge_elementwise(cx, n, n.out_shape.numel(), 1, 2);
-        finish_elementwise(n, [&] {
-          Tensor t = ops::scale_shift_reference(in_tensor(n), n.scale, n.shift);
-          return t;
-        });
-        return;
-      }
-      case OpKind::kActivation: {
-        charge_elementwise(cx, n, n.out_shape.numel(), 1, 2);
-        finish_elementwise(n, [&] {
-          return ops::activation_reference(in_tensor(n), n.act, n.act_alpha);
-        });
-        return;
-      }
-      case OpKind::kAdd: {
-        charge_elementwise(cx, n, n.out_shape.numel(), 2, 1);
-        finish_elementwise(n, [&] {
-          Tensor t = ops::add_reference(in_tensor(n, 0), in_tensor(n, 1));
-          if (n.fused_activation) {
-            t = ops::activation_reference(t, n.fused_act, n.fused_act_alpha);
-          }
-          return t;
-        });
-        return;
-      }
-      case OpKind::kConcat: {
-        charge_elementwise(cx, n, n.out_shape.numel(), 1, 0);
-        finish_elementwise(n, [&] {
-          std::vector<Tensor> ins;
-          for (int in : n.inputs) ins.push_back(val(in).tensor);
-          return ops::concat_channels_reference(ins);
-        });
-        return;
-      }
-      case OpKind::kPool2d: {
-        const Shape& s = g_.node(n.inputs[0]).out_shape;
-        if (n.place == Place::kCpu) {
-          charge_elementwise(cx, n, n.out_shape.numel(), 1,
-                             n.pool.kernel * n.pool.kernel);
-        } else {
-          cx.clock.charge(platform_.gpu, ops::pool2d_kernel_cost(s, n.pool));
-        }
-        finish_elementwise(
-            n, [&] { return ops::pool2d_reference(in_tensor(n), n.pool); });
-        return;
-      }
-      case OpKind::kGlobalAvgPool: {
-        charge_elementwise(cx, n, g_.node(n.inputs[0]).out_shape.numel(), 1, 1);
-        finish_elementwise(
-            n, [&] { return ops::global_avg_pool_reference(in_tensor(n)); });
-        return;
-      }
-      case OpKind::kDense: {
-        charge_layout_edges(cx, n, 1);
-        if (n.place == Place::kCpu) {
-          cx.clock.charge_cpu(platform_.cpu, n.dense.flops(),
-                              n.weight.nbytes(), 0.9, n.name);
-        } else {
-          cx.clock.charge(platform_.gpu,
-                          ops::dense_kernel_cost(n.dense, platform_.gpu));
-        }
-        finish_heavy(n, [&] {
-          Tensor t = ops::dense_reference(in_tensor(n), n.weight,
-                                          n.bias.defined() ? &n.bias : nullptr,
-                                          n.dense);
-          if (n.fused_activation) {
-            t = ops::activation_reference(t, n.fused_act, n.fused_act_alpha);
-          }
-          return t;
-        });
-        return;
-      }
-      case OpKind::kFlatten: {
-        charge_layout_edges(cx, n, 1);
+      case OpKind::kFlatten:
         set_aliased(n);
-        layout_block_[static_cast<size_t>(n.id)] = 1;
         return;
-      }
-      case OpKind::kSoftmax: {
-        charge_layout_edges(cx, n, 1);
-        charge_elementwise(cx, n, n.out_shape.numel(), 1, 4);
-        finish_elementwise(
-            n, [&] { return ops::softmax_reference(in_tensor(n)); });
-        return;
-      }
-      case OpKind::kUpsample2x: {
-        charge_elementwise(cx, n, n.out_shape.numel(), 1, 0);
-        finish_elementwise(
-            n, [&] { return ops::upsample2x_reference(in_tensor(n)); });
-        return;
-      }
       case OpKind::kDeviceCopy: {
         const int64_t bytes = n.out_shape.numel() * 4;
         cx.clock.charge_copy(platform_.gpu, bytes, n.name);
         set_aliased(n);
-        layout_block_[static_cast<size_t>(n.id)] =
-            layout_block_[static_cast<size_t>(n.inputs[0])];
         return;
       }
       case OpKind::kMultiboxDetection:
@@ -699,7 +584,6 @@ class ExecutorImpl {
         exec_ssd_detection(cx, n);
         return;
       case OpKind::kYoloDecode: {
-        charge_layout_edges(cx, n, 1);
         // A placeholder head is synthesized element by element, only where
         // the decode reads it.
         const Shape& head = g_.node(n.inputs[0]).out_shape;
@@ -742,11 +626,15 @@ class ExecutorImpl {
         v.materialized = true;
         return;
       }
-      case OpKind::kBoxNms:
-        exec_box_nms(cx, n);
+      case OpKind::kBoxNms: {
+        Tensor in = val(n.inputs[0]).materialized
+                        ? in_tensor(n)
+                        : synthesize_nms_input(g_.node(n.inputs[0]).out_shape,
+                                               cx.rng);
+        set_computed(n, run_nms(cx, n, in, n.nms, n.name));
         return;
+      }
       case OpKind::kRoiAlign: {
-        charge_layout_edges(cx, n, 1);
         const bool have = in_materialized(n);
         Tensor feats = have ? in_tensor(n, 0)
                             : Tensor::zeros(g_.node(n.inputs[0]).out_shape);
@@ -766,8 +654,98 @@ class ExecutorImpl {
         set_computed(n, std::move(out));
         return;
       }
+      default:
+        break;
     }
-    IGC_CHECK(false) << "unhandled op " << op_kind_name(n.kind);
+    // A tensor op. With numerics on every value is materialized, so the
+    // compute_numerics option alone decides whether it computes data.
+    charge(cx, n);
+    if (!opts_.compute_numerics) {
+      set_placeholder(n);
+      return;
+    }
+    if (try_jit(n)) return;
+    std::vector<Tensor> inputs;
+    inputs.reserve(n.inputs.size());
+    for (int in : n.inputs) inputs.push_back(val(in).tensor);
+    const Tensor out = reference_output(n, inputs).value();
+    IGC_CHECK(out.shape() == n.out_shape) << n.name << ": " << out.shape().str();
+    set_computed(n, out);
+  }
+
+  /// Books a tensor op's simulated cost. It depends on the node's kind,
+  /// shapes, schedule and placement only, never on the data.
+  void charge(NodeCtx& cx, const Node& n) {
+    const bool cpu = n.place == Place::kCpu;
+    const int64_t numel = n.out_shape.numel();
+    switch (n.kind) {
+      case OpKind::kConv2d:
+        if (cpu) {
+          cx.clock.charge_cpu(platform_.cpu, n.conv.flops(),
+                              n.conv.min_bytes(), 0.9, n.name);
+        } else {
+          // The schedule compiled onto the node; without one, the
+          // hand-written template in NCHW (Table 5 "Before").
+          sim::KernelLaunch k =
+              n.schedule.knobs().empty()
+                  ? ops::conv2d_kernel_cost(
+                        n.conv,
+                        ops::conv2d_manual_schedule(n.conv, platform_.gpu),
+                        platform_.gpu)
+                  : ops::conv2d_kernel_cost(n.conv, n.schedule, platform_.gpu);
+          if (n.fused_activation) k.flops += numel;
+          cx.clock.charge(platform_.gpu, k);
+        }
+        return;
+      case OpKind::kConv2dTranspose:
+        if (cpu) {
+          cx.clock.charge_cpu(platform_.cpu, n.deconv.flops(),
+                              n.weight.nbytes(), 0.9, n.name);
+        } else {
+          cx.clock.charge(platform_.gpu,
+                          ops::conv2d_transpose_kernel_cost(n.deconv,
+                                                            platform_.gpu));
+        }
+        return;
+      case OpKind::kDense:
+        if (cpu) {
+          cx.clock.charge_cpu(platform_.cpu, n.dense.flops(),
+                              n.weight.nbytes(), 0.9, n.name);
+        } else {
+          cx.clock.charge(platform_.gpu,
+                          ops::dense_kernel_cost(n.dense, platform_.gpu));
+        }
+        return;
+      case OpKind::kPool2d:
+        if (cpu) {
+          charge_elementwise(cx, n, numel, 1, n.pool.kernel * n.pool.kernel);
+        } else {
+          cx.clock.charge(platform_.gpu,
+                          ops::pool2d_kernel_cost(
+                              g_.node(n.inputs[0]).out_shape, n.pool));
+        }
+        return;
+      case OpKind::kScaleShift:
+      case OpKind::kActivation:
+        charge_elementwise(cx, n, numel, 1, 2);
+        return;
+      case OpKind::kAdd:
+        charge_elementwise(cx, n, numel, 2, 1);
+        return;
+      case OpKind::kConcat:
+      case OpKind::kUpsample2x:
+        charge_elementwise(cx, n, numel, 1, 0);
+        return;
+      case OpKind::kGlobalAvgPool:
+        charge_elementwise(cx, n, g_.node(n.inputs[0]).out_shape.numel(), 1,
+                           1);
+        return;
+      case OpKind::kSoftmax:
+        charge_elementwise(cx, n, numel, 1, 4);
+        return;
+      default:
+        IGC_CHECK(false) << "unhandled op " << op_kind_name(n.kind);
+    }
   }
 
   /// Computes node `n` through its compiled host kernel when the run carries
@@ -849,10 +827,6 @@ class ExecutorImpl {
         return mut(n.scale);
       case ArgKind::kShift:
         return mut(n.shift);
-      case ArgKind::kFusedScale:
-        return mut(n.fused_scale);
-      case ArgKind::kFusedShift:
-        return mut(n.fused_shift);
       case ArgKind::kOutput:
         return out.data_f32();
     }
@@ -860,89 +834,28 @@ class ExecutorImpl {
     return nullptr;
   }
 
-  // Elementwise helpers: numerics only when inputs are materialized.
-  template <typename Fn>
-  void finish_elementwise(const Node& n, Fn&& compute) {
-    if (opts_.compute_numerics && in_materialized(n)) {
-      if (!try_jit(n)) {
-        Tensor t = compute();
-        IGC_CHECK(t.shape() == n.out_shape)
-            << n.name << ": " << t.shape().str();
-        set_computed(n, std::move(t));
-      }
-    } else {
-      set_placeholder(n);
-    }
-    layout_block_[static_cast<size_t>(n.id)] = propagate_layout(n, 1);
-  }
-
-  template <typename Fn>
-  void finish_heavy(const Node& n, Fn&& compute) {
-    finish_elementwise(n, std::forward<Fn>(compute));
-  }
-
-  void exec_conv(NodeCtx& cx, const Node& n) {
-    // The schedule compiled onto the node; without one, the hand-written
-    // template in NCHW (Table 5 "Before").
-    const bool compiled = !n.schedule.knobs().empty();
-    const tune::ScheduleConfig manual =
-        compiled ? tune::ScheduleConfig()
-                 : ops::conv2d_manual_schedule(n.conv, platform_.gpu);
-    const tune::ScheduleConfig& cfg = compiled ? n.schedule : manual;
-    const int block = static_cast<int>(cfg.get_or("layout_block", 1));
-    charge_layout_edges(cx, n, block);
-    if (opts_.trace != nullptr) cx.schedule = cfg.str();
-    if (n.place == Place::kCpu) {
-      cx.clock.charge_cpu(platform_.cpu, n.conv.flops(), n.conv.min_bytes(),
-                          0.9, n.name);
-    } else {
-      sim::KernelLaunch k = ops::conv2d_kernel_cost(n.conv, cfg, platform_.gpu);
-      if (n.fused_scale_shift) k.flops += 2 * n.out_shape.numel();
-      if (n.fused_activation) k.flops += n.out_shape.numel();
-      cx.clock.charge(platform_.gpu, k);
-    }
-    if (opts_.compute_numerics && in_materialized(n)) {
-      if (!try_jit(n)) {
-        Tensor t = ops::conv2d_reference(
-            in_tensor(n), n.weight, n.bias.defined() ? &n.bias : nullptr,
-            n.conv);
-        if (n.fused_scale_shift) {
-          t = ops::scale_shift_reference(t, n.fused_scale, n.fused_shift);
-        }
-        if (n.fused_activation) {
-          t = ops::activation_reference(t, n.fused_act, n.fused_act_alpha);
-        }
-        set_computed(n, std::move(t));
-      }
-    } else {
-      set_placeholder(n);
-    }
-    layout_block_[static_cast<size_t>(n.id)] = block;
-  }
-
-  /// Shared tail of every multibox path: NMS over the decoded candidates on
-  /// the placed device, with the matching cost.
-  Tensor run_nms_stage(NodeCtx& cx, const Node& n, const Tensor& decoded,
-                       const ops::NmsParams& nms) {
+  /// NMS over decoded candidates on the placed device, with the matching
+  /// cost. A CPU-placed run books its charge under `cpu_event`.
+  Tensor run_nms(NodeCtx& cx, const Node& n, const Tensor& in,
+                 const ops::NmsParams& nms, const std::string& cpu_event) {
     if (n.place == Place::kCpu) {
       int64_t evals = 0;
-      Tensor out = ops::box_nms_reference_counted(decoded, nms, &evals);
-      const int64_t count = decoded.shape()[0] * decoded.shape()[1];
+      Tensor out = ops::box_nms_reference_counted(in, nms, &evals);
+      const int64_t count = in.shape()[0] * in.shape()[1];
       const int64_t sort_flops = static_cast<int64_t>(
           static_cast<double>(count) *
           std::log2(static_cast<double>(count) + 2.0) * 4.0);
       cx.clock.charge_cpu(platform_.cpu, evals * 16 + sort_flops,
-                          decoded.nbytes() * 2, 0.3, n.name + "_nms_cpu");
+                          in.nbytes() * 2, 0.3, cpu_event);
       return out;
     }
     if (opts_.optimized_vision_ops) {
-      return ops::box_nms_gpu(cx.gpu, decoded, nms);
+      return ops::box_nms_gpu(cx.gpu, in, nms);
     }
-    return ops::box_nms_gpu_naive(cx.gpu, decoded, nms);
+    return ops::box_nms_gpu_naive(cx.gpu, in, nms);
   }
 
   void exec_multibox(NodeCtx& cx, const Node& n) {
-    charge_layout_edges(cx, n, 1);
     const bool have = in_materialized(n);
     // The (B, C, N) class-probability tensor: dim 1 is the class axis
     // (class 0 = background).
@@ -966,11 +879,10 @@ class ExecutorImpl {
                                 [](int64_t) {}, 2 * cls.shape()[1] + 20,
                                 4 * (cls.shape()[1] + 8));
     }
-    set_computed(n, run_nms_stage(cx, n, decoded, n.mbox.nms));
+    set_computed(n, run_nms(cx, n, decoded, n.mbox.nms, n.name + "_nms_cpu"));
   }
 
   void exec_ssd_detection(NodeCtx& cx, const Node& n) {
-    charge_layout_edges(cx, n, 1);
     const int64_t c1 = n.ssd_num_classes;
     const int64_t total = n.out_shape[1];
     const int64_t bsz = n.out_shape[0];
@@ -1025,32 +937,7 @@ class ExecutorImpl {
       cx.gpu.launch_elementwise("ssd_decode", bsz * total, [](int64_t) {},
                                 2 * c1 + 20, 4 * (c1 + 8));
     }
-    set_computed(n, run_nms_stage(cx, n, decoded, n.mbox.nms));
-  }
-
-  void exec_box_nms(NodeCtx& cx, const Node& n) {
-    charge_layout_edges(cx, n, 1);
-    Tensor in = val(n.inputs[0]).materialized
-                    ? in_tensor(n)
-                    : synthesize_nms_input(g_.node(n.inputs[0]).out_shape,
-                                           cx.rng);
-    Tensor out;
-    if (n.place == Place::kCpu) {
-      int64_t evals = 0;
-      out = ops::box_nms_reference_counted(in, n.nms, &evals);
-      const int64_t count = in.shape()[0] * in.shape()[1];
-      cx.clock.charge_cpu(
-          platform_.cpu,
-          evals * 16 +
-              static_cast<int64_t>(static_cast<double>(count) *
-                                   std::log2(static_cast<double>(count) + 2.0) * 4.0),
-          in.nbytes() * 2, 0.3, n.name);
-    } else if (opts_.optimized_vision_ops) {
-      out = ops::box_nms_gpu(cx.gpu, in, n.nms);
-    } else {
-      out = ops::box_nms_gpu_naive(cx.gpu, in, n.nms);
-    }
-    set_computed(n, std::move(out));
+    set_computed(n, run_nms(cx, n, decoded, n.mbox.nms, n.name + "_nms_cpu"));
   }
 
   const Graph& g_;
@@ -1060,10 +947,8 @@ class ExecutorImpl {
   uint64_t base_seed_ = 0;
 
   std::vector<Value> values_;
-  std::vector<bool> live_;
   std::vector<bool> data_read_;
-  std::vector<int> layout_block_;
-  std::vector<int> pending_;
+  std::vector<int> layout_block_;  // see compute_layouts
   std::vector<NodeRun> node_runs_;
 
   // The run's storage: the caller's (plan, arena) pair, or the private one
@@ -1100,6 +985,66 @@ sim::OpCategory categorize(OpKind kind, Place place) {
     default:
       return sim::OpCategory::kOther;
   }
+}
+
+std::optional<Tensor> reference_output(const Node& n,
+                                       const std::vector<Tensor>& inputs) {
+  const Tensor* bias = n.bias.defined() ? &n.bias : nullptr;
+  Tensor out;
+  switch (n.kind) {
+    case OpKind::kConv2d:
+      out = ops::conv2d_reference(inputs[0], n.weight, bias, n.conv);
+      break;
+    case OpKind::kConv2dTranspose:
+      out = ops::conv2d_transpose_reference(inputs[0], n.weight, bias,
+                                            n.deconv);
+      break;
+    case OpKind::kDense:
+      out = ops::dense_reference(inputs[0], n.weight, bias, n.dense);
+      break;
+    case OpKind::kScaleShift:
+      out = ops::scale_shift_reference(inputs[0], n.scale, n.shift);
+      break;
+    case OpKind::kActivation:
+      out = ops::activation_reference(inputs[0], n.act, n.act_alpha);
+      break;
+    case OpKind::kAdd:
+      out = ops::add_reference(inputs[0], inputs[1]);
+      break;
+    case OpKind::kConcat:
+      out = ops::concat_channels_reference(inputs);
+      break;
+    case OpKind::kPool2d:
+      out = ops::pool2d_reference(inputs[0], n.pool);
+      break;
+    case OpKind::kGlobalAvgPool:
+      out = ops::global_avg_pool_reference(inputs[0]);
+      break;
+    case OpKind::kFlatten:
+      out = inputs[0].reshape(n.out_shape);
+      break;
+    case OpKind::kSoftmax:
+      out = ops::softmax_reference(inputs[0]);
+      break;
+    case OpKind::kUpsample2x:
+      out = ops::upsample2x_reference(inputs[0]);
+      break;
+    case OpKind::kInput:
+    case OpKind::kConstant:
+    case OpKind::kDeviceCopy:
+    case OpKind::kMultiboxDetection:
+    case OpKind::kSsdDetection:
+    case OpKind::kYoloDecode:
+    case OpKind::kDetectionConcat:
+    case OpKind::kBoxNms:
+    case OpKind::kRoiAlign:
+      return std::nullopt;
+  }
+  // The epilogue fuse_activation attached (conv, add, scale-shift, dense).
+  if (n.fused_activation) {
+    out = ops::activation_reference(out, n.fused_act, n.fused_act_alpha);
+  }
+  return out;
 }
 
 ExecResult execute(const Graph& g, const sim::Platform& platform,

@@ -1,7 +1,7 @@
 // The heterogeneous graph executor.
 //
 // Runs an optimized graph against a simulated platform. Every run walks its
-// live nodes in id (topological) order on the calling thread; data
+// nodes in id (topological) order on the calling thread; data
 // parallelism lives inside a node (the JIT's grid split and the simulator's
 // work-groups over ThreadPool::global()). Each run computes two simulated
 // time models from the same per-node charges, and ExecMode picks which one
@@ -23,11 +23,17 @@
 // tuning database. A conv without one runs the hand-written template in NCHW.
 //
 // Every node output lives in a plan-backed BufferArena (see
-// src/tensor/arena.h): each node acquires the buffer its MemoryPlan assigns
-// and releases it after its last consumer, so buffers are recycled across
-// nodes within a run and, when the caller keeps the arena (CompiledModel
-// does), across repeated runs — steady-state serving then performs no
-// intermediate heap allocations for node outputs.
+// src/tensor/arena.h): each node acquires the buffer its MemoryPlan assigns,
+// and after each node the run releases the values MemoryPlan::release_after
+// lists for it, so buffers are recycled across nodes within a run and, when
+// the caller keeps the arena (CompiledModel does), across repeated runs —
+// steady-state serving then performs no intermediate heap allocations for
+// node outputs.
+//
+// One node step: charge the layout transforms on its input edges; run the
+// input, constant, alias or vision case; or else charge the tensor op from
+// its shapes and schedule, then store a placeholder (numerics off), the JIT
+// kernel's output, or reference_output().
 //
 // Two execution modes for numerics:
 //   * numerics on  — every operator computes its real output (tests,
@@ -57,6 +63,9 @@
 // shapes, not from the host work done.
 #pragma once
 
+#include <optional>
+#include <vector>
+
 #include "core/rng.h"
 #include "graph/graph.h"
 #include "graph/memory_planner.h"
@@ -76,6 +85,13 @@ namespace igc::graph {
 /// A CPU-placed operator (other than the copies around it) is a fallback op
 /// (Sec. 3.1.2) whatever its kind.
 sim::OpCategory categorize(OpKind kind, Place place);
+
+/// What a tensor op computes: node `n`'s output from its input tensors
+/// through the reference operators, fused activation included. The
+/// executor's reference path and constant_precompute both call it. Input,
+/// constant, device-copy and vision nodes have none (std::nullopt).
+std::optional<Tensor> reference_output(const Node& n,
+                                       const std::vector<Tensor>& inputs);
 
 enum class ExecMode { kSequential, kWavefront };
 

@@ -108,10 +108,9 @@ struct Node {
   /// SSD fused head: number of classes including background.
   int64_t ssd_num_classes = 0;
 
-  // Fusion epilogues applied by the executor after the main op
-  // (conv+bn+relu fusion, Sec. 3.2.3 "operator fusion").
-  bool fused_scale_shift = false;
-  Tensor fused_scale, fused_shift;
+  // Activation epilogue fused onto a conv, add, scale-shift or dense by
+  // fuse_activation (Sec. 3.2.3 "operator fusion"; batch norm folds into
+  // the conv's weights instead). graph::reference_output() applies it.
   bool fused_activation = false;
   ops::Activation fused_act = ops::Activation::kRelu;
   float fused_act_alpha = 0.1f;
@@ -186,10 +185,10 @@ class Graph {
   /// Consumers of each node (recomputed on demand).
   std::vector<std::vector<int>> consumers() const;
 
-  /// Per-node reachability from the output. On a compacted graph (after the
-  /// dce pass, or any placement rebuild) every entry is true; rewiring
-  /// passes may leave unreferenced pass-through nodes, which planners and
-  /// executors skip via this mask.
+  /// Per-node reachability from the output. The rewiring passes leave
+  /// unreferenced pass-through nodes, which they skip via this mask; dce and
+  /// placement remove them. plan_memory() refuses a graph that still has
+  /// one, so the executor and JIT lowering only ever see compact graphs.
   std::vector<bool> live_mask() const;
 
   /// All conv nodes in topological order.

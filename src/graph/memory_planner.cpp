@@ -17,20 +17,22 @@ obs::Counter& plan_counter() {
 
 MemoryPlan plan_memory(const Graph& g) {
   const int n = g.num_nodes();
+  // Compaction is mandatory: the executor runs every node, so a node that
+  // does not reach the output would run and hold a buffer for nothing.
+  const std::vector<bool> live = g.live_mask();
+  const auto dead = std::find(live.begin(), live.end(), false);
+  IGC_CHECK(dead == live.end())
+      << "plan_memory: node '" << g.nodes()[dead - live.begin()].name
+      << "' does not reach the graph output; the pass pipeline must compact "
+         "the graph (include dce or place)";
   MemoryPlan plan;
   plan.buffer_of_node.assign(static_cast<size_t>(n), -1);
+  plan.release_after.assign(static_cast<size_t>(n), {});
 
-  // The default pipeline compacts the graph (dce/place), so normally every
-  // node is live and gets a buffer. A custom pipeline that skips compaction
-  // may leave bypassed nodes; those get no buffer (-1) and do not count as
-  // consumers.
-  const std::vector<bool> live = g.live_mask();
-
-  // Liveness: node output is live from its definition to its last (live)
-  // consumer; the graph output is live to the end.
+  // Liveness: node output is live from its definition to its last consumer;
+  // the graph output is live to the end.
   std::vector<int> last_use(static_cast<size_t>(n), -1);
   for (const Node& node : g.nodes()) {
-    if (!live[static_cast<size_t>(node.id)]) continue;
     for (int in : node.inputs) {
       last_use[static_cast<size_t>(in)] =
           std::max(last_use[static_cast<size_t>(in)], node.id);
@@ -47,7 +49,6 @@ MemoryPlan plan_memory(const Graph& g) {
   std::vector<std::vector<int>> expiring(static_cast<size_t>(n + 1));
 
   for (const Node& node : g.nodes()) {
-    if (!live[static_cast<size_t>(node.id)]) continue;  // no buffer
     const int64_t bytes = node.out_shape.numel() * 4;
     plan.unshared_bytes += bytes;
     // Best-fit reuse: smallest free buffer that fits.
@@ -71,14 +72,20 @@ MemoryPlan plan_memory(const Graph& g) {
         std::max(plan.buffer_bytes[static_cast<size_t>(buf_id)], bytes);
     plan.buffer_of_node[static_cast<size_t>(node.id)] = buf_id;
     plan.buffer_holders[static_cast<size_t>(buf_id)].push_back(node.id);
-    const int death = last_use[static_cast<size_t>(node.id)];
-    if (death <= n) {
-      expiring[static_cast<size_t>(std::min(death, n))].push_back(buf_id);
-    }
+    expiring[static_cast<size_t>(last_use[static_cast<size_t>(node.id)])]
+        .push_back(buf_id);
     // Return buffers freed by values that died at this step.
     for (int freed : expiring[static_cast<size_t>(node.id)]) {
       free_list.push_back(
           {freed, plan.buffer_bytes[static_cast<size_t>(freed)]});
+    }
+    // The values this node reads for the last time, each listed once at its
+    // last input edge.
+    for (auto in = node.inputs.begin(); in != node.inputs.end(); ++in) {
+      if (last_use[static_cast<size_t>(*in)] == node.id &&
+          std::find(in + 1, node.inputs.end(), *in) == node.inputs.end()) {
+        plan.release_after[static_cast<size_t>(node.id)].push_back(*in);
+      }
     }
   }
   plan_counter().add(1);

@@ -7,9 +7,9 @@
 // has run.
 //
 // The plan is split into a shape-independent part and a shape-dependent
-// part. Buffer *assignment* (buffer_of_node, buffer_holders) depends only
-// on liveness — which nodes exist and who consumes whom — so it survives
-// any rebinding of batch/resolution within a model's ShapeSpec. Buffer
+// part. Buffer *assignment* (buffer_of_node, buffer_holders, release_after)
+// depends only on liveness — which nodes exist and who consumes whom — so it
+// survives any rebinding of batch/resolution within a model's ShapeSpec. Buffer
 // *sizes* are symbolic: per-element cost x the node's extent at the bound
 // shape, resolved by resolve_buffer_bytes() against a shape-bound graph.
 // plan_memory() therefore runs once per compile; new shape bindings only
@@ -25,10 +25,13 @@
 namespace igc::graph {
 
 struct MemoryPlan {
-  /// Buffer id assigned to each node's output. On a compacted graph (the
-  /// default pipeline ends in dce/place) every entry is >= 0; only custom
-  /// pipelines that skip compaction leave -1 entries for dead nodes.
+  /// Buffer id assigned to each node's output (every node gets one: the
+  /// planned graph is compact).
   std::vector<int> buffer_of_node;
+  /// For each node, the values whose last consumer it is (each once, in the
+  /// order of their last input edge), which the executor releases after the
+  /// node runs. The graph output is never listed: it escapes the run.
+  std::vector<std::vector<int>> release_after;
   /// Size in bytes of each buffer at the shape the plan was made (or last
   /// rebound) for. The PagedArena resolves this to page counts at bind time.
   std::vector<int64_t> buffer_bytes;
@@ -50,7 +53,9 @@ struct MemoryPlan {
 /// reusable after its last consumer executes. Weights/constants are not
 /// counted (they are resident for the model's lifetime). Increments the
 /// graph.plan.plans metric — dynamic-shape rebinding must go through
-/// resolve_buffer_bytes() instead of replanning.
+/// resolve_buffer_bytes() instead of replanning. Throws igc::Error when a
+/// node does not reach the output: compaction (the dce or place pass) is
+/// mandatory before planning.
 MemoryPlan plan_memory(const Graph& g);
 
 /// Resolves the plan's buffer sizes against `shaped` — a graph with the same

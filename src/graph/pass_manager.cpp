@@ -144,9 +144,7 @@ PassStats pass_stats_from(const std::vector<PassRunStats>& report,
       stats.copies_inserted += st.rewrites;
     }
   }
-  const std::vector<bool> live = g.live_mask();
   for (const Node& n : g.nodes()) {
-    if (!live[static_cast<size_t>(n.id)]) continue;
     if (n.place == Place::kGpu) {
       ++stats.gpu_nodes;
     } else {

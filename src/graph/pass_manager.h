@@ -15,7 +15,9 @@
 //
 // `compile()` builds its pipeline from `CompileOptions` (explicit order or
 // the default, minus `disabled_passes`), so any pass can be reordered,
-// disabled, or replaced without touching the compiler.
+// disabled, or replaced without touching the compiler — as long as the
+// pipeline compacts: it must include `dce` or `place`, because the memory
+// planner refuses a graph that still holds dead pass-through markers.
 #pragma once
 
 #include <iosfwd>
@@ -104,8 +106,7 @@ PassPipeline build_pipeline(const std::vector<std::string>& names,
 
 /// Summarizes a pipeline run into the compile-facing PassStats: per-pass
 /// rewrite counts mapped to their legacy fields, plus device counts over the
-/// graph's *live* nodes only (dead pass-through markers — present when a
-/// custom pipeline omits compaction — are never counted).
+/// graph's nodes (a compiled graph is compact, so every node is live).
 PassStats pass_stats_from(const std::vector<PassRunStats>& report,
                           const Graph& g);
 

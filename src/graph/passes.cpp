@@ -4,6 +4,7 @@
 #include <optional>
 
 #include "core/error.h"
+#include "graph/executor.h"
 #include "graph/pass_manager.h"
 
 namespace igc::graph {
@@ -31,61 +32,6 @@ std::vector<std::vector<int>> live_consumers(const Graph& g) {
     for (int in : n.inputs) out[static_cast<size_t>(in)].push_back(n.id);
   }
   return out;
-}
-
-/// Compile-time evaluation of one node whose inputs are all constants.
-/// Mirrors the executor's numerics exactly (same reference kernels, same
-/// fusion epilogues), so pre-computing never changes an output bit.
-/// Returns nullopt for kinds that must stay at runtime (vision ops draw
-/// synthetic data; device copies belong to placement).
-std::optional<Tensor> eval_constant_node(const Graph& g, const Node& n) {
-  std::vector<Tensor> ins;
-  ins.reserve(n.inputs.size());
-  for (int in : n.inputs) ins.push_back(g.node(in).weight);
-  // The executor applies the fused-activation epilogue to conv / add /
-  // dense / deconv outputs (exec_conv, finish_heavy, the kAdd case).
-  const auto epilogue = [&](Tensor t) {
-    if (n.fused_activation) {
-      t = ops::activation_reference(t, n.fused_act, n.fused_act_alpha);
-    }
-    return t;
-  };
-  switch (n.kind) {
-    case OpKind::kScaleShift:
-      return ops::scale_shift_reference(ins[0], n.scale, n.shift);
-    case OpKind::kActivation:
-      return ops::activation_reference(ins[0], n.act, n.act_alpha);
-    case OpKind::kAdd:
-      return epilogue(ops::add_reference(ins[0], ins[1]));
-    case OpKind::kConcat:
-      return ops::concat_channels_reference(ins);
-    case OpKind::kPool2d:
-      return ops::pool2d_reference(ins[0], n.pool);
-    case OpKind::kGlobalAvgPool:
-      return ops::global_avg_pool_reference(ins[0]);
-    case OpKind::kFlatten:
-      return ins[0].reshape(n.out_shape);
-    case OpKind::kSoftmax:
-      return ops::softmax_reference(ins[0]);
-    case OpKind::kUpsample2x:
-      return ops::upsample2x_reference(ins[0]);
-    case OpKind::kDense:
-      return epilogue(ops::dense_reference(
-          ins[0], n.weight, n.bias.defined() ? &n.bias : nullptr, n.dense));
-    case OpKind::kConv2d: {
-      Tensor t = ops::conv2d_reference(
-          ins[0], n.weight, n.bias.defined() ? &n.bias : nullptr, n.conv);
-      if (n.fused_scale_shift) {
-        t = ops::scale_shift_reference(t, n.fused_scale, n.fused_shift);
-      }
-      return epilogue(t);
-    }
-    case OpKind::kConv2dTranspose:
-      return epilogue(ops::conv2d_transpose_reference(
-          ins[0], n.weight, n.bias.defined() ? &n.bias : nullptr, n.deconv));
-    default:
-      return std::nullopt;
-  }
 }
 
 }  // namespace
@@ -164,13 +110,16 @@ int constant_precompute_pass(Graph& g) {
   // on results nothing reads.
   for (Node& n : g.nodes()) {
     if (!live[static_cast<size_t>(n.id)]) continue;
-    if (n.kind == OpKind::kConstant || n.kind == OpKind::kInput) continue;
-    if (n.inputs.empty()) continue;
     const bool all_const = std::all_of(
         n.inputs.begin(), n.inputs.end(),
         [&](int in) { return g.node(in).kind == OpKind::kConstant; });
     if (!all_const) continue;
-    std::optional<Tensor> value = eval_constant_node(g, n);
+    // The executor's own rule, so pre-computing never changes an output bit.
+    // Inputs, constants, vision ops and device copies have none.
+    std::vector<Tensor> inputs;
+    inputs.reserve(n.inputs.size());
+    for (int in : n.inputs) inputs.push_back(g.node(in).weight);
+    std::optional<Tensor> value = reference_output(n, inputs);
     if (!value.has_value()) continue;
     IGC_CHECK(value->shape() == n.out_shape)
         << n.name << ": precompute shape " << value->shape().str();
@@ -180,9 +129,6 @@ int constant_precompute_pass(Graph& g) {
     n.weight = std::move(*value);
     n.bias = Tensor();
     n.inputs.clear();
-    n.fused_scale_shift = false;
-    n.fused_scale = Tensor();
-    n.fused_shift = Tensor();
     n.fused_activation = false;
     ++folded;
   }
@@ -235,7 +181,7 @@ int placement_pass(Graph& g, const std::set<OpKind>& cpu_ops) {
 
   // Pass 2: rebuild the node list, inserting a device_copy between any two
   // directly connected nodes on different devices. The rebuild keeps only
-  // live nodes, so it compacts even when the dce pass was disabled.
+  // live nodes, so it compacts the graph as dce does.
   Graph rebuilt;
   std::vector<int> remap(static_cast<size_t>(g.num_nodes()), -1);
   const std::vector<bool> live = g.live_mask();

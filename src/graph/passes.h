@@ -4,10 +4,11 @@
 // Each pass rewrites the node list in place and returns the number of
 // rewrites it performed. Rewiring passes (fold, fuse, precompute) leave
 // bypassed nodes in the list as unreferenced pass-through markers so node
-// ids stay stable *within* the pass; the dead-node-elimination pass then
-// actually removes them and renumbers the survivors, so downstream stages
-// (memory planner, executor, layout tuner, trace spans) see a compact,
-// fully-live graph.
+// ids stay stable *within* the pass; the dead-node-elimination pass (or the
+// placement rebuild) then actually removes them and renumbers the survivors.
+// Compaction is mandatory: plan_memory() refuses a graph with a dead node,
+// so downstream stages (memory planner, executor, JIT lowering, trace spans)
+// only ever see a compact, fully-live graph.
 //
 // These free functions are the raw rewrites; src/graph/pass_manager.h wraps
 // them as named `Pass` objects composed into an instrumented `PassPipeline`.
@@ -37,22 +38,23 @@ struct PassStats {
 /// inference for batch-norm"). The ScaleShift node becomes a pass-through.
 int fold_scale_shift_pass(Graph& g);
 
-/// Fuses Activation nodes into the preceding Conv2d / Add / ScaleShift as an
-/// epilogue, removing one elementwise kernel launch per fusion.
+/// Fuses Activation nodes into the preceding Conv2d / Add / ScaleShift /
+/// Dense as an epilogue (Node::fused_activation), removing one elementwise
+/// kernel launch per fusion.
 int fuse_activation_pass(Graph& g);
 
 /// Constant pre-computing (Sec. 3.2.3): evaluates every node whose inputs
 /// are all bound constants at compile time and replaces it with a kConstant
-/// node holding the result, so the work never runs at inference time. Walks
-/// in topological order, so whole constant subgraphs collapse in one run;
-/// the absorbed feeder constants become dead (removed by compaction).
+/// node holding the result (graph::reference_output(), the executor's own
+/// rule), so the work never runs at inference time. Walks in topological
+/// order, so whole constant subgraphs collapse in one run; the absorbed
+/// feeder constants become dead (removed by compaction).
 int constant_precompute_pass(Graph& g);
 
 /// Dead-node elimination with graph compaction: removes every node
 /// unreachable from the output (the pass-through markers left by rewiring
 /// passes) and renumbers the survivors densely, preserving topological
-/// order. After this pass every node id is live, so the memory plan assigns
-/// a buffer to every slot and the executor never skips a node.
+/// order. After this pass every node id is live, as plan_memory() requires.
 int dead_node_elimination_pass(Graph& g);
 
 /// Heterogeneous placement, exactly as described in Sec. 3.1.2:

@@ -105,10 +105,6 @@ ir::LoweredKernel conv2d_build_host_ir(const Conv2dParams& p, bool bias,
   k.params.push_back({"weight", DType::kFloat32,
                       p.out_channels * cig * p.kernel_h * p.kernel_w, false});
   if (bias) k.params.push_back({"bias", DType::kFloat32, p.out_channels, false});
-  if (e.scale_shift) {
-    k.params.push_back({"scale", DType::kFloat32, p.out_channels, false});
-    k.params.push_back({"shift", DType::kFloat32, p.out_channels, false});
-  }
   k.params.push_back({"out", DType::kFloat32,
                       p.batch * p.out_channels * oh * ow, true});
 
@@ -139,7 +135,7 @@ ir::LoweredKernel conv2d_build_host_ir(const Conv2dParams& p, bool bias,
 
   // One tile of `width` positions: seed every accumulator from the bias (or
   // 0), add the taps ci -> ky -> kx in reference order, then apply the fused
-  // epilogue and store. The input is pre-padded: taps the reference skips
+  // activation and store. The input is pre-padded: taps the reference skips
   // read zeros, and acc + 0.0f * w cannot change the accumulator's bits.
   auto tile_body = [&](int64_t width) {
     const ExprPtr acc_idx = add(mul(vc, imm(width)), vj);
@@ -179,14 +175,10 @@ ir::LoweredKernel conv2d_build_host_ir(const Conv2dParams& p, bool bias,
                   {make_for({"kx", p.kernel_w, IterKind::kSerial},
                             {std::move(tap)})})}));
 
-    // Epilogue: the reference epilogue ops' per-element float expressions.
+    // Epilogue: the reference activation's per-element float expression.
     const ExprPtr v = fvar("v");
     std::vector<StmtPtr> store;
     store.push_back(make_decl_local("v", DType::kFloat32, load("acc", acc_idx)));
-    if (e.scale_shift) {
-      store.push_back(
-          make_assign("v", add(mul(v, load("scale", co)), load("shift", co))));
-    }
     if (e.activation) {
       store.push_back(make_assign("v", apply_act(v, e.act, e.act_alpha)));
     }
@@ -232,7 +224,6 @@ ir::LoweredKernel conv2d_build_host_ir(const Conv2dParams& p, bool bias,
 ir::LoweredKernel dense_build_host_ir(const DenseParams& p, bool bias,
                                       const HostEpilogue& e,
                                       const std::string& name) {
-  IGC_CHECK(!e.scale_shift) << "dense has no scale_shift epilogue";
   IGC_CHECK(!e.activation || host_act_supported(e.act));
   ir::LoweredKernel k;
   k.name = name;
@@ -314,7 +305,6 @@ ir::LoweredKernel activation_build_host_ir(int64_t numel, Activation act,
 
 ir::LoweredKernel add_build_host_ir(int64_t numel, const HostEpilogue& e,
                                     const std::string& name) {
-  IGC_CHECK(!e.scale_shift) << "add has no scale_shift epilogue";
   IGC_CHECK(!e.activation || host_act_supported(e.act));
   ir::LoweredKernel k = elementwise_host_frame(
       numel, name, [&](ExprPtr idx) -> std::vector<StmtPtr> {

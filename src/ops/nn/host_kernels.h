@@ -22,10 +22,10 @@
 
 namespace igc::ops {
 
-/// Epilogues fused into a conv/dense/add host kernel (mirrors the Node
-/// fused_* fields the executor's reference path applies tensor-by-tensor).
+/// The activation epilogue fused into a conv/dense/add host kernel (mirrors
+/// Node::fused_activation, which graph::reference_output() applies
+/// tensor-by-tensor).
 struct HostEpilogue {
-  bool scale_shift = false;  // y = y * scale[c] + shift[c] (conv only)
   bool activation = false;
   Activation act = Activation::kRelu;
   float act_alpha = 0.1f;
@@ -51,13 +51,13 @@ HostConvTile host_conv_tile(int isa_level);
 
 /// Direct convolution over a *pre-padded* input, any groups count
 /// (depthwise included). Buffers in order: data (N, CI, H+2ph, W+2pw),
-/// weight, [bias], [scale], [shift], out.
+/// weight, [bias], out.
 ///
 /// Grid = batch x channel groups x position tiles. One block owns TC output
 /// channels (the largest divisor of the group's out-channels <= tile.tc, so
 /// depthwise runs TC = 1) times one tile of up to tile.tj positions, held in
 /// a local array: seeded from the bias (or 0), accumulated ci -> ky -> kx
-/// with TC weight scalars per tap, then the fused epilogue and the store.
+/// with TC weight scalars per tap, then the fused activation and the store.
 /// Full tiles and the tail tile are separate bodies with constant extents.
 ///   * Stride 1: positions are flat, j = y * PW + x over the padded row
 ///     pitch PW, so every tap reads one contiguous run. Positions with

@@ -117,6 +117,23 @@ TEST_P(GraphFuzz, PassesPreserveNumericsAndPlannerIsValid) {
       EXPECT_LE(last_use[static_cast<size_t>(i)], j);
     }
   }
+  // Every value but the output is released exactly once, after its last
+  // consumer; the output is never released during the run.
+  ASSERT_EQ(plan.release_after.size(), optimized.nodes().size());
+  std::vector<int> released_at(static_cast<size_t>(optimized.num_nodes()),
+                               -1);
+  for (int id = 0; id < optimized.num_nodes(); ++id) {
+    for (int v : plan.release_after[static_cast<size_t>(id)]) {
+      EXPECT_EQ(released_at[static_cast<size_t>(v)], -1)
+          << "value " << v << " released twice";
+      released_at[static_cast<size_t>(v)] = id;
+    }
+  }
+  for (int v = 0; v < optimized.num_nodes(); ++v) {
+    const int expected =
+        v == optimized.output() ? -1 : last_use[static_cast<size_t>(v)];
+    EXPECT_EQ(released_at[static_cast<size_t>(v)], expected) << "value " << v;
+  }
 }
 
 INSTANTIATE_TEST_SUITE_P(Seeds, GraphFuzz,

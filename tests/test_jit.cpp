@@ -272,11 +272,10 @@ TEST(KernelCache, BrokenSourceFailsOnceAndIsRemembered) {
   return ::testing::AssertionSuccess();
 }
 
-/// One conv of the matrix: geometry plus the fused epilogue.
+/// One conv of the matrix: geometry plus the fused activation.
 struct ConvCase {
   int64_t ci, h, w, co, k, stride, pad, groups;
   bool bias;
-  bool scale_shift;
   bool act;
   ops::Activation kind = ops::Activation::kRelu;
 
@@ -295,7 +294,6 @@ struct ConvCase {
   }
   ops::HostEpilogue epilogue() const {
     ops::HostEpilogue e;
-    e.scale_shift = scale_shift;
     e.activation = act;
     e.act = kind;
     e.act_alpha = 0.1f;
@@ -306,26 +304,26 @@ struct ConvCase {
 // Strides 1 and 2; kernels 1/3/5/7; pads 0-3; OW 7, 13, 14 and 56 (the x
 // tails of strided tiles and the J mod TJ tails of flat ones); out-channels
 // 6, 10 and 64 (TC = 4, 3 or 2 at the levels' tiles); groups 1, 2 and
-// depthwise; bias on and off; fused scale-shift, relu and leaky relu. The
+// depthwise; bias on and off; fused relu and leaky relu. The
 // inputs stay small so the interpreter replays every kernel in seconds.
 const std::vector<ConvCase>& conv_matrix() {
   using ops::Activation;
   static const std::vector<ConvCase> cases = {
-      // ci  h   w    co  k  s  p  g   bias   ss     act
-      {4, 7, 7, 6, 1, 1, 0, 1, true, false, false},
-      {3, 13, 13, 10, 3, 1, 1, 1, true, false, true},
-      {8, 5, 14, 64, 1, 1, 0, 1, false, true, true},
-      {2, 7, 13, 6, 7, 1, 3, 1, true, false, true, Activation::kLeakyRelu},
-      {2, 3, 56, 10, 3, 1, 1, 2, true, true, false},
-      {6, 14, 14, 6, 3, 1, 1, 6, true, false, true},
-      {2, 14, 14, 6, 5, 1, 2, 1, true, true, true},
-      {4, 9, 9, 64, 3, 1, 0, 2, false, false, false},
-      {10, 13, 13, 10, 3, 2, 1, 10, false, true, false},
-      {3, 8, 28, 6, 7, 2, 3, 1, true, false, true, Activation::kLeakyRelu},
-      {4, 14, 14, 64, 1, 2, 0, 1, true, false, true},
-      {4, 5, 113, 10, 3, 2, 0, 2, true, false, false},
-      {4, 13, 13, 10, 5, 2, 2, 1, false, false, true, Activation::kLeakyRelu},
-      {6, 6, 14, 6, 3, 2, 1, 6, true, true, true},
+      // ci  h   w    co  k  s  p  g   bias   act
+      {4, 7, 7, 6, 1, 1, 0, 1, true, false},
+      {3, 13, 13, 10, 3, 1, 1, 1, true, true},
+      {8, 5, 14, 64, 1, 1, 0, 1, false, true},
+      {2, 7, 13, 6, 7, 1, 3, 1, true, true, Activation::kLeakyRelu},
+      {2, 3, 56, 10, 3, 1, 1, 2, true, false},
+      {6, 14, 14, 6, 3, 1, 1, 6, true, true},
+      {2, 14, 14, 6, 5, 1, 2, 1, true, true},
+      {4, 9, 9, 64, 3, 1, 0, 2, false, false},
+      {10, 13, 13, 10, 3, 2, 1, 10, false, false},
+      {3, 8, 28, 6, 7, 2, 3, 1, true, true, Activation::kLeakyRelu},
+      {4, 14, 14, 64, 1, 2, 0, 1, true, true},
+      {4, 5, 113, 10, 3, 2, 0, 2, true, false},
+      {4, 13, 13, 10, 5, 2, 2, 1, false, true, Activation::kLeakyRelu},
+      {6, 6, 14, 6, 3, 2, 1, 6, true, true},
   };
   return cases;
 }
@@ -404,7 +402,7 @@ TEST(JitConvLowering, MatrixMatchesReferenceBytesAtEveryLevelTile) {
     const ops::Conv2dParams p = c.params();
     SCOPED_TRACE(p.workload_key() + " tile " + std::to_string(b.tile.tc) +
                  "x" + std::to_string(b.tile.tj) + (c.bias ? " bias" : "") +
-                 (c.scale_shift ? " ss" : "") + (c.act ? " act" : ""));
+                 (c.act ? " act" : ""));
     const Tensor input = Tensor::random_normal(
         Shape{p.batch, p.in_channels, p.in_h, p.in_w}, rng, 1.0f);
     const Tensor weight = Tensor::random_normal(
@@ -412,22 +410,16 @@ TEST(JitConvLowering, MatrixMatchesReferenceBytesAtEveryLevelTile) {
               p.kernel_w},
         rng, 0.5f);
     const Tensor bias = Tensor::random_normal(Shape{p.out_channels}, rng);
-    const Tensor scale = Tensor::random_normal(Shape{p.out_channels}, rng);
-    const Tensor shift = Tensor::random_normal(Shape{p.out_channels}, rng);
 
     Tensor expected = ops::conv2d_reference(input, weight,
                                             c.bias ? &bias : nullptr, p);
-    if (c.scale_shift) {
-      expected = ops::scale_shift_reference(expected, scale, shift);
-    }
     if (c.act) expected = ops::activation_reference(expected, c.kind, 0.1f);
 
     // Bind the buffers in the kernel's parameter order.
     const Tensor padded = zero_padded(input, p.pad_h);
     Tensor out = Tensor::full(expected.shape(), -7.0f);
     std::map<std::string, Tensor> named = {
-        {"data", padded}, {"weight", weight}, {"bias", bias},
-        {"scale", scale}, {"shift", shift},   {"out", out}};
+        {"data", padded}, {"weight", weight}, {"bias", bias}, {"out", out}};
     std::vector<float*> args;
     std::map<std::string, Tensor> bound;
     for (const ir::BufferParam& param : b.kernel.params) {

@@ -1,15 +1,18 @@
 // Tests for the pass manager: named pipelines with per-pass metrics,
 // idempotence of every registered pass, constant pre-computing, dead-node
-// compaction (bit-identical outputs, fully-planned memory), and compiling
-// with any single pass disabled.
+// compaction (bit-identical outputs, fully-planned memory, mandatory before
+// planning), compiling with any single pass disabled, and fused activations
+// computing what the unfused graph computes.
 #include <gtest/gtest.h>
 
+#include <cstring>
 #include <functional>
 #include <sstream>
 #include <thread>
 #include <vector>
 
 #include "core/compiler.h"
+#include "graph/executor.h"
 #include "graph/memory_planner.h"
 #include "graph/pass_manager.h"
 #include "graph/passes.h"
@@ -64,6 +67,54 @@ Graph constant_subgraph(Rng& rng) {
   const int cat = g.add_concat("cat", {conv, relu});
   g.set_output(cat);
   return g;
+}
+
+/// Same shape, dtype and bytes (NaN-aware, unlike max_abs_diff == 0).
+::testing::AssertionResult same_bytes(const Tensor& a, const Tensor& b) {
+  if (a.shape() != b.shape() || a.dtype() != b.dtype()) {
+    return ::testing::AssertionFailure()
+           << "shape " << a.shape().str() << " vs " << b.shape().str();
+  }
+  if (std::memcmp(a.raw_data(), b.raw_data(),
+                  static_cast<size_t>(a.nbytes())) != 0) {
+    return ::testing::AssertionFailure()
+           << "bytes differ (max_abs_diff " << a.max_abs_diff(b) << ")";
+  }
+  return ::testing::AssertionSuccess();
+}
+
+/// input -> scale_shift(scale 1, shift -0.5) -> relu: a ScaleShift no conv
+/// precedes, so fold_scale_shift leaves it and fuse_activation fuses the
+/// relu into it.
+Graph scale_shift_relu() {
+  Graph g;
+  const int in = g.add_input("data", Shape{1, 4, 8, 8});
+  const int ss = g.add_scale_shift("ss", in, Tensor::full(Shape{4}, 1.0f),
+                                   Tensor::full(Shape{4}, -0.5f));
+  g.set_output(g.add_activation("relu", ss, ops::Activation::kRelu));
+  return g;
+}
+
+/// A constant -> scale_shift -> relu branch added to the input: the fused
+/// scale_shift has only constant inputs, so constant_precompute folds it.
+Graph constant_scale_shift_relu() {
+  Rng rng(13);
+  Graph g;
+  const int in = g.add_input("data", Shape{1, 4, 8, 8});
+  const int c =
+      g.add_constant("c", Tensor::random_normal(Shape{1, 4, 8, 8}, rng, 1.0f));
+  const int ss = g.add_scale_shift("css", c, Tensor::full(Shape{4}, 2.0f),
+                                   Tensor::full(Shape{4}, -0.25f));
+  const int relu = g.add_activation("crelu", ss, ops::Activation::kRelu);
+  g.set_output(g.add_add("sum", in, relu));
+  return g;
+}
+
+graph::ExecResult run_graph(const Graph& g, uint64_t seed) {
+  graph::ExecOptions opts;
+  Rng rng(seed);
+  return graph::execute(g, sim::platform(sim::PlatformId::kDeepLens), opts,
+                        rng);
 }
 
 TEST(PassManager, DefaultPipelineNamesAndJoin) {
@@ -166,14 +217,16 @@ TEST(Passes, DeadNodeEliminationCompacts) {
   Graph g = constant_subgraph(rng);
   const int before = g.num_nodes();
   ASSERT_GT(graph::constant_precompute_pass(g), 0);
-  // Feeder constants (ca, cb) and the folded add are dead markers now.
+  // Feeder constants (ca, cb) and the folded add are dead markers now, and
+  // the planner refuses a graph that still holds them.
+  EXPECT_THROW(graph::plan_memory(g), Error);
   const int removed = graph::dead_node_elimination_pass(g);
   EXPECT_EQ(removed, 3);
   EXPECT_EQ(g.num_nodes(), before - removed);
   g.validate();
   const auto live = g.live_mask();
   for (bool b : live) EXPECT_TRUE(b);
-  // Every live node gets a planned buffer after compaction.
+  // Every node gets a planned buffer after compaction.
   const graph::MemoryPlan plan = graph::plan_memory(g);
   for (int buf : plan.buffer_of_node) EXPECT_GE(buf, 0);
 }
@@ -247,24 +300,58 @@ TEST(Passes, DisablingAnySinglePassStillCompilesAndRuns) {
   }
 }
 
-TEST(Passes, PassStatsCountLiveNodesOnly) {
-  // With the pipeline cut before compaction/placement, dead fold/fuse
-  // markers remain in the node list; the device counts must ignore them.
+TEST(Passes, PipelineThatNeverCompactsIsRefused) {
+  // Cut before dce/place, the fold/fuse markers stay in the node list; the
+  // memory planner refuses such a graph, so compile() fails instead of
+  // planning and running dead nodes.
   Rng rng(0x5eed);
   const sim::Platform& plat = sim::platform(sim::PlatformId::kDeepLens);
-  const CompiledModel cm =
-      compile_fast(models::build_mobilenet(rng, 64, 1, 10), plat,
-                   [](CompileOptions& o) {
-                     o.pass_names = {"fold_scale_shift", "fuse_activation"};
-                   });
-  const graph::PassStats& st = cm.pass_stats();
-  EXPECT_GT(st.folded_scale_shifts, 0);
-  EXPECT_GT(st.fused_activations, 0);
-  int live_nodes = 0;
-  // CompiledModel does not expose the graph; count via the memory plan,
-  // whose -1 slots are exactly the dead markers.
-  for (int buf : cm.memory_plan().buffer_of_node) live_nodes += buf >= 0;
-  EXPECT_EQ(st.gpu_nodes + st.cpu_nodes, live_nodes);
+  try {
+    compile_fast(models::build_mobilenet(rng, 64, 1, 10), plat,
+                 [](CompileOptions& o) {
+                   o.skip_tuning = true;
+                   o.pass_names = {"fold_scale_shift", "fuse_activation"};
+                 });
+    FAIL() << "compile() accepted a pipeline that never compacts";
+  } catch (const Error& e) {
+    const std::string msg = e.what();
+    EXPECT_NE(msg.find("dce"), std::string::npos) << msg;
+    EXPECT_NE(msg.find("place"), std::string::npos) << msg;
+  }
+}
+
+TEST(Passes, ScaleShiftKeepsItsFusedActivation) {
+  // fuse_activation fuses into a ScaleShift no conv precedes; the fused node
+  // must still apply the relu (half of these inputs go negative).
+  const Graph raw = scale_shift_relu();
+  Graph optimized = scale_shift_relu();
+  EXPECT_EQ(graph::optimize(optimized).fused_activations, 1);
+  const graph::ExecResult a = run_graph(raw, 0x515);
+  const graph::ExecResult b = run_graph(optimized, 0x515);
+  EXPECT_TRUE(same_bytes(a.output, b.output));
+  for (float x : b.output.span_f32()) ASSERT_GE(x, 0.0f);
+}
+
+TEST(Passes, PrecomputedScaleShiftMatchesRuntime) {
+  // The default pipeline folds the fused constant branch into a constant;
+  // without constant_precompute it runs every time. Both, and the raw graph,
+  // must agree bit for bit.
+  const sim::Platform& plat = sim::platform(sim::PlatformId::kDeepLens);
+  const CompiledModel with_pc =
+      compile_fast(models::Model{"css", constant_scale_shift_relu()}, plat);
+  const CompiledModel without_pc = compile_fast(
+      models::Model{"css", constant_scale_shift_relu()}, plat,
+      [](CompileOptions& o) { o.disabled_passes = {"constant_precompute"}; });
+  EXPECT_EQ(with_pc.pass_stats().fused_activations, 1);
+  EXPECT_EQ(with_pc.pass_stats().precomputed_constants, 1);
+  EXPECT_EQ(without_pc.pass_stats().precomputed_constants, 0);
+  RunOptions ropts;
+  ropts.input_seed = 0x515;
+  const RunResult a = with_pc.run(ropts);
+  const RunResult b = without_pc.run(ropts);
+  EXPECT_TRUE(same_bytes(a.output, b.output));
+  EXPECT_TRUE(
+      same_bytes(a.output, run_graph(constant_scale_shift_relu(), 0x515).output));
 }
 
 TEST(Passes, ConcurrentWavefrontRunsWithCompactedGraph) {

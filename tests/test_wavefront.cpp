@@ -37,10 +37,10 @@ void expect_bit_identical(const Tensor& a, const Tensor& b,
 }
 
 /// The storage reference: a sequential run of `g` over a memory plan that
-/// never reuses a buffer (buffer i belongs to node i alone). The plan is
-/// built from the struct's public fields rather than plan_memory(), so a
-/// reuse bug in the planner or in the executor's release logic cannot hide
-/// in the reference.
+/// never reuses a buffer (buffer i belongs to node i alone) and releases
+/// nothing until the run ends (empty release lists). The plan is built from
+/// the struct's public fields rather than plan_memory(), so a reuse or
+/// release bug in the planner or the executor cannot hide in the reference.
 graph::ExecResult run_no_reuse(const graph::Graph& g,
                                const sim::Platform& plat,
                                graph::ExecOptions opts, uint64_t seed) {
@@ -49,6 +49,7 @@ graph::ExecResult run_no_reuse(const graph::Graph& g,
     plan.buffer_of_node.push_back(n.id);
     plan.buffer_bytes.push_back(n.out_shape.numel() * 4);
     plan.buffer_holders.push_back({n.id});
+    plan.release_after.emplace_back();
   }
   BufferArena arena(plan.buffer_bytes);
   opts.mode = graph::ExecMode::kSequential;

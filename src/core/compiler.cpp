@@ -28,6 +28,13 @@ CompiledModel compile(models::Model model, const sim::Platform& platform,
       std::move(popts));
   cm.pass_report_ = pipeline.run(cm.graph_);
   cm.pass_stats_ = graph::pass_stats_from(cm.pass_report_, cm.graph_);
+  // Plan memory once, before tuning: the plan depends only on shapes and
+  // liveness, and plan_memory() refuses a graph the pipeline left
+  // uncompacted, so a bad pipeline fails before any trial runs. Every
+  // dynamic-shape binding reuses this plan with re-resolved sizes — zero
+  // replanning at run time (the graph.plan.plans metric stays flat).
+  cm.plan_ =
+      std::make_shared<const graph::MemoryPlan>(graph::plan_memory(cm.graph_));
   if (opts.warm_db != nullptr) cm.db_ = *opts.warm_db;
   cm.tuned_ = !opts.skip_tuning;
   // Every conv's schedule lands on its node here, once: tuned, or the
@@ -43,12 +50,6 @@ CompiledModel compile(models::Model model, const sim::Platform& platform,
   } else {
     graphtune::write_schedules(cm.graph_, platform.gpu, {}, nullptr);
   }
-
-  // Plan memory once. Buffer assignment depends only on liveness, so every
-  // dynamic-shape binding reuses this plan with re-resolved sizes — zero
-  // replanning at run time (the graph.plan.plans metric stays flat).
-  cm.plan_ =
-      std::make_shared<const graph::MemoryPlan>(graph::plan_memory(cm.graph_));
 
   if (opts.backend == Backend::kJit) {
     auto& cache = codegen::jit::KernelCache::shared(opts.kernel_cache_dir);

@@ -876,7 +876,7 @@ class ExecutorImpl {
     } else {
       cx.gpu.launch_elementwise("multibox_decode",
                                 cls.shape()[0] * n.anchors.shape()[0],
-                                [](int64_t) {}, 2 * cls.shape()[1] + 20,
+                                2 * cls.shape()[1] + 20,
                                 4 * (cls.shape()[1] + 8));
     }
     set_computed(n, run_nms(cx, n, decoded, n.mbox.nms, n.name + "_nms_cpu"));
@@ -887,31 +887,32 @@ class ExecutorImpl {
     const int64_t total = n.out_shape[1];
     const int64_t bsz = n.out_shape[0];
 
-    // Unmaterialized heads are synthesized from the node's Rng in input
-    // order, each head's class logits and then its deltas. Every logit
-    // enters its anchor's softmax, so class logits are filled in full;
-    // deltas are read on demand, only for anchors that pass valid_thresh,
-    // and the Rng jumps past them.
-    const size_t n_heads = n.inputs.size() / 2;
-    std::vector<Tensor> synth_cls;
-    synth_cls.reserve(n_heads);
-    std::vector<ops::SsdHeadView> heads(n_heads);
-    for (size_t h = 0; h < n_heads; ++h) {
+    // Charge the assembly + per-anchor softmax as one elementwise kernel.
+    charge_elementwise(cx, n, bsz * total * c1, 1, 6);
+
+    // Decode stage, charged as a decode over (B, C, N) probabilities and
+    // (B, N*4) deltas. Unmaterialized heads come from the node's Rng in
+    // input order, each head's class logits and then its deltas, and the Rng
+    // jumps past each. Both are read on demand: a class logit only for an
+    // anchor the stream's one-draw test cannot reject, a delta only for an
+    // anchor that passes valid_thresh. No logit tensor is made.
+    Tensor decoded = Tensor::full(Shape{bsz, total, 6}, -1.0f);
+    int64_t anchor_off = 0;
+    for (size_t h = 0; h < n.inputs.size() / 2; ++h) {
       const int cls_id = n.inputs[2 * h];
       const int loc_id = n.inputs[2 * h + 1];
       const Value& cls = val(cls_id);
       const Value& loc = val(loc_id);
       const Shape& cs = g_.node(cls_id).out_shape;
-      ops::SsdHeadView& view = heads[h];
+      std::optional<SyntheticSsdCls> stream;
+      if (!cls.materialized) {
+        stream.emplace(cx.rng, cs, c1);
+        cx.rng.discard(stream->draws());
+      }
+      ops::SsdHeadView view;
       view.anchors_per_cell = cs[1] / c1;
       view.height = cs[2];
       view.width = cs[3];
-      if (cls.materialized) {
-        view.cls = cls.tensor.data_f32();
-      } else {
-        synth_cls.push_back(synthesize_ssd_cls(cs, c1, cx.rng));
-        view.cls = synth_cls.back().data_f32();
-      }
       if (loc.materialized) {
         const float* lp = loc.tensor.data_f32();
         view.loc = [lp](int64_t i) { return lp[i]; };
@@ -920,22 +921,23 @@ class ExecutorImpl {
         const int64_t deltas = g_.node(loc_id).out_shape.numel();
         cx.rng.discard(2 * static_cast<uint64_t>(deltas));
       }
+      if (stream) {
+        ops::ssd_decode_head(*stream, view, c1, anchor_off, n.anchors, n.mbox,
+                             decoded);
+      } else {
+        ops::ssd_decode_head(ops::SsdTensorLogits(cls.tensor, c1), view, c1,
+                             anchor_off, n.anchors, n.mbox, decoded);
+      }
+      anchor_off += view.anchors_per_cell * view.height * view.width;
     }
-
-    // Charge the assembly + per-anchor softmax as one elementwise kernel.
-    charge_elementwise(cx, n, bsz * total * c1, 1, 6);
-
-    // Decode stage, charged as a decode over (B, C, N) probabilities and
-    // (B, N*4) deltas.
-    const Tensor decoded =
-        ops::ssd_decode_heads(heads, bsz, c1, n.anchors, n.mbox);
+    IGC_CHECK_EQ(anchor_off, total);
     if (n.place == Place::kCpu) {
       cx.clock.charge_cpu(platform_.cpu, bsz * c1 * total * 4,
                           4 * bsz * c1 * total + 4 * bsz * total * 4, 0.8,
                           n.name + "_decode_cpu");
     } else {
-      cx.gpu.launch_elementwise("ssd_decode", bsz * total, [](int64_t) {},
-                                2 * c1 + 20, 4 * (c1 + 8));
+      cx.gpu.launch_elementwise("ssd_decode", bsz * total, 2 * c1 + 20,
+                                4 * (c1 + 8));
     }
     set_computed(n, run_nms(cx, n, decoded, n.mbox.nms, n.name + "_nms_cpu"));
   }

@@ -50,11 +50,13 @@
 //     DeviceCopy aliases (an input feeding box_nms or ROIAlign). Otherwise
 //     it is a placeholder.
 //   * A detection head that is a placeholder is synthesized from the
-//     consuming node's Rng. yolo_decode reads head elements on demand and
-//     reads a (cell, anchor)'s class scores only when its objectness can
-//     reach conf_thresh. ssd_detection synthesizes class logits in full and
-//     deltas only for anchors that pass valid_thresh, skipping the softmax
-//     of anchors a bound proves rejected.
+//     consuming node's Rng, element by element, and never filled.
+//     yolo_decode reads a (cell, anchor)'s class logits only when its
+//     objectness can reach conf_thresh, and their sigmoids only when the
+//     bound from their max can. ssd_detection reads an anchor's class
+//     logits only when one of their detection draws fires, and its deltas
+//     only when it passes valid_thresh, skipping the softmax of anchors a
+//     bound proves rejected. The CPU NMS sorts only rows that can survive.
 // Outputs, charges, ClockEvents and counters stay bit-identical to filling
 // everything: the Rng is counter-based, so a synthesized element is a pure
 // function of (node seed, index) whether or not its neighbours were drawn;

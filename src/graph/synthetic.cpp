@@ -1,30 +1,18 @@
 #include "graph/synthetic.h"
 
+#include "core/error.h"
+
 namespace igc::graph {
 
-Tensor synthesize_ssd_cls(const Shape& shape, int64_t num_classes, Rng& rng) {
-  Tensor t(shape, DType::kFloat32);
-  const int64_t b = shape[0];
-  const int64_t channels = shape[1];
-  const int64_t hw = shape.numel() / (b * channels);
-  float* p = t.data_f32();
-  for (int64_t bi = 0; bi < b; ++bi) {
-    for (int64_t ch = 0; ch < channels; ++ch) {
-      const int64_t cls = ch % num_classes;
-      for (int64_t i = 0; i < hw; ++i) {
-        float v;
-        if (cls == 0) {
-          v = 6.0f;  // strong background logit
-        } else if (rng.next_double() < 0.002) {
-          v = rng.next_float(2.0f, 7.0f);  // a genuine detection
-        } else {
-          v = rng.next_float(-6.0f, -2.0f);
-        }
-        p[(bi * channels + ch) * hw + i] = v;
-      }
-    }
-  }
-  return t;
+SyntheticSsdCls::SyntheticSsdCls(const Rng& rng, const Shape& shape,
+                                 int64_t num_classes)
+    : rng_(rng), c1_(num_classes) {
+  IGC_CHECK_EQ(shape.ndim(), 4);
+  IGC_CHECK_GE(c1_, 2);
+  IGC_CHECK_EQ(shape[1] % c1_, 0) << "cls channels " << shape[1];
+  batch_ = shape[0];
+  anchors_ = shape[1] / c1_;
+  plane_ = shape[2] * shape[3];
 }
 
 Tensor synthesize_multibox_cls(const Shape& shape, Rng& rng) {

@@ -5,6 +5,7 @@
 #include <limits>
 #include <numeric>
 #include <set>
+#include <unordered_map>
 
 #include "core/error.h"
 #include "ops/vision/prefix_sum.h"
@@ -18,26 +19,45 @@ constexpr int kBoxLen = 6;  // [class_id, score, x1, y1, x2, y2]
 /// Shared greedy suppression over one batch given score-descending order.
 /// Returns the kept source rows (already ordered by descending score) and
 /// reports how many IoU evaluations were performed (for the cost model).
-std::vector<int64_t> suppress_batch(const float* batch, int64_t n,
+/// `order` is the full argsort or a prefix of it; position oi is row
+/// order[oi]'s rank, which topk counts. A candidate is compared with the
+/// kept rows of its own class only (all of them under force_suppress), in
+/// the order they were kept, so the evaluations are exactly those of a scan
+/// over every kept row that skips the other classes.
+std::vector<int64_t> suppress_batch(const float* batch,
                                     const std::vector<int32_t>& order,
                                     const NmsParams& p, int64_t* iou_evals) {
   std::vector<int64_t> kept;
+  // Kept rows per class, keyed so that -0 and +0 share a list, as == has
+  // them match. A NaN class matches nothing (!= is true for it), so such a
+  // row neither scans nor joins a list.
+  std::unordered_map<float, std::vector<int64_t>> kept_by_class;
+  const int64_t n = static_cast<int64_t>(order.size());
   for (int64_t oi = 0; oi < n; ++oi) {
     const int64_t i = order[static_cast<size_t>(oi)];
     const float* bi = batch + i * kBoxLen;
     if (bi[0] < 0.0f || bi[1] < p.valid_thresh) continue;
     if (p.topk >= 0 && oi >= p.topk) break;
+    // The kept rows this candidate is tested against.
+    std::vector<int64_t>* rivals = &kept;
+    if (!p.force_suppress) {
+      rivals = std::isnan(bi[0])
+                   ? nullptr
+                   : &kept_by_class[bi[0] == 0.0f ? 0.0f : bi[0]];
+    }
     bool suppressed = false;
-    for (int64_t k : kept) {
-      const float* bk = batch + k * kBoxLen;
-      if (!p.force_suppress && bk[0] != bi[0]) continue;
-      ++*iou_evals;
-      if (box_iou(bk + 2, bi + 2) > p.iou_threshold) {
-        suppressed = true;
-        break;
+    if (rivals != nullptr) {
+      for (int64_t k : *rivals) {
+        ++*iou_evals;
+        if (box_iou(batch + k * kBoxLen + 2, bi + 2) > p.iou_threshold) {
+          suppressed = true;
+          break;
+        }
       }
     }
-    if (!suppressed) kept.push_back(i);
+    if (suppressed) continue;
+    kept.push_back(i);
+    if (rivals != nullptr && rivals != &kept) rivals->push_back(i);
   }
   return kept;
 }
@@ -85,14 +105,27 @@ Tensor box_nms_reference_counted(const Tensor& input, const NmsParams& p,
   float* o = out.data_f32();
   for (int64_t b = 0; b < bsz; ++b) {
     const float* batch = in + b * n * kBoxLen;
-    // Descending stable argsort by score.
-    std::vector<int32_t> order(static_cast<size_t>(n));
-    std::iota(order.begin(), order.end(), 0);
+    // Descending stable argsort by score of the rows that can survive. A row
+    // with score < valid_thresh sorts after every other row and is skipped,
+    // so the sorted survivors are the full argsort's prefix, with the same
+    // ranks. A NaN score breaks the ordering; then every row is sorted.
+    std::vector<int32_t> order;
+    order.reserve(static_cast<size_t>(n));
+    bool nan_score = false;
+    for (int32_t i = 0; i < n; ++i) {
+      const float score = batch[i * kBoxLen + 1];
+      nan_score = nan_score || std::isnan(score);
+      if (!(score < p.valid_thresh)) order.push_back(i);
+    }
+    if (nan_score) {
+      order.resize(static_cast<size_t>(n));
+      std::iota(order.begin(), order.end(), 0);
+    }
     std::stable_sort(order.begin(), order.end(), [&](int32_t x, int32_t y) {
       return batch[x * kBoxLen + 1] > batch[y * kBoxLen + 1];
     });
     int64_t evals = 0;
-    const std::vector<int64_t> kept = suppress_batch(batch, n, order, p, &evals);
+    const std::vector<int64_t> kept = suppress_batch(batch, order, p, &evals);
     *iou_evals += evals;
     std::vector<int64_t> positions(kept.size());
     std::iota(positions.begin(), positions.end(), 0);
@@ -112,8 +145,7 @@ Tensor box_nms_gpu(sim::GpuSimulator& gpu, const Tensor& input,
   // Initialize every output row to invalid up front (one coalesced fill, no
   // divergent branches later).
   Tensor out = Tensor::full(input.shape(), -1.0f);
-  gpu.launch_elementwise("nms_init_invalid", input.numel(),
-                         [](int64_t) {}, 0, 0);
+  gpu.launch_elementwise("nms_init_invalid", input.numel(), 0, 0);
 
   // Stage 1: per-batch segmented argsort of scores (descending), using the
   // Fig. 2 pipeline.
@@ -141,7 +173,7 @@ Tensor box_nms_gpu(sim::GpuSimulator& gpu, const Tensor& input,
           sorted[static_cast<size_t>(b * n + i)] - static_cast<int32_t>(b * n);
     }
     int64_t evals = 0;
-    all_kept[static_cast<size_t>(b)] = suppress_batch(batch, n, order, p, &evals);
+    all_kept[static_cast<size_t>(b)] = suppress_batch(batch, order, p, &evals);
     total_evals += evals;
   }
   {
@@ -173,8 +205,7 @@ Tensor box_nms_gpu(sim::GpuSimulator& gpu, const Tensor& input,
     std::iota(positions.begin(), positions.end(), 0);
     write_kept(in + b * n * kBoxLen, kept, positions, o + b * n * kBoxLen);
   }
-  gpu.launch_elementwise("nms_scatter", std::max<int64_t>(bsz * n, 1),
-                         [](int64_t) {}, 1, 8);
+  gpu.launch_elementwise("nms_scatter", std::max<int64_t>(bsz * n, 1), 1, 8);
   return out;
 }
 
@@ -211,7 +242,7 @@ Tensor box_nms_gpu_naive(sim::GpuSimulator& gpu, const Tensor& input,
           sorted[static_cast<size_t>(b * n + i)] - static_cast<int32_t>(b * n);
     }
     int64_t evals = 0;
-    const std::vector<int64_t> kept = suppress_batch(batch, n, order, p, &evals);
+    const std::vector<int64_t> kept = suppress_batch(batch, order, p, &evals);
     // The unoptimized kernel has no top-k short-circuit: it suppresses every
     // candidate and only then truncates, so the charged work is the full
     // no-topk suppression (output is identical).
@@ -219,7 +250,7 @@ Tensor box_nms_gpu_naive(sim::GpuSimulator& gpu, const Tensor& input,
       NmsParams no_topk = p;
       no_topk.topk = -1;
       evals = 0;
-      (void)suppress_batch(batch, n, order, no_topk, &evals);
+      (void)suppress_batch(batch, order, no_topk, &evals);
     }
     max_evals = std::max(max_evals, evals);
     max_scan = std::max(max_scan, n);
@@ -281,11 +312,10 @@ Tensor multibox_prior_reference(const MultiboxPriorParams& p) {
   return out;
 }
 
-namespace {
+namespace detail {
 
-/// Decodes one anchor's localization prediction into a corner-format box.
-void decode_box(const float* loc, const float* anchor, const float* variances,
-                float* box_out) {
+void ssd_decode_box(const float* loc, const float* anchor,
+                    const float* variances, float* box_out) {
   const float aw = anchor[2] - anchor[0];
   const float ah = anchor[3] - anchor[1];
   const float acx = (anchor[0] + anchor[2]) * 0.5f;
@@ -299,6 +329,54 @@ void decode_box(const float* loc, const float* anchor, const float* variances,
   box_out[2] = pcx + pw;
   box_out[3] = pcy + ph;
 }
+
+double ssd_skip_below(float valid_thresh) {
+  return valid_thresh >= std::numeric_limits<float>::min()
+             ? std::log(static_cast<double>(valid_thresh)) - 1e-3
+             : -std::numeric_limits<double>::infinity();
+}
+
+bool ssd_score_anchor(const float* logit, int64_t num_classes,
+                      double skip_below, float valid_thresh, float* e,
+                      float* row) {
+  const int64_t c1 = num_classes;
+  float maxv = -1e30f;
+  float top_fg = -std::numeric_limits<float>::infinity();
+  bool finite = true;
+  for (int64_t c = 0; c < c1; ++c) {
+    maxv = std::max(maxv, logit[c]);
+    finite = finite && std::isfinite(logit[c]);
+    if (c > 0) top_fg = std::max(top_fg, logit[c]);
+  }
+  if (finite && std::max(logit[0], top_fg) >= -1e30f &&
+      static_cast<double>(top_fg - maxv) < skip_below) {
+    return false;
+  }
+  // Softmax, each exp computed once and summed in double.
+  double sum = 0.0;
+  for (int64_t c = 0; c < c1; ++c) {
+    e[c] = std::exp(logit[c] - maxv);
+    sum += e[c];
+  }
+  // Best non-background class, in multibox_decode_reference's order.
+  int64_t best_c = 1;
+  float best = static_cast<float>(e[1] / sum);
+  for (int64_t c = 2; c < c1; ++c) {
+    const float v = static_cast<float>(e[c] / sum);
+    if (v > best) {
+      best = v;
+      best_c = c;
+    }
+  }
+  if (best < valid_thresh) return false;  // stays invalid
+  row[0] = static_cast<float>(best_c - 1);
+  row[1] = best;
+  return true;
+}
+
+}  // namespace detail
+
+namespace {
 
 /// Shared decode: produces the (B, N, 6) candidate tensor before NMS.
 Tensor decode_detections(const Tensor& cls_prob, const Tensor& loc_pred,
@@ -333,7 +411,8 @@ Tensor decode_detections(const Tensor& cls_prob, const Tensor& loc_pred,
       if (best < p.nms.valid_thresh) continue;  // stays invalid
       row[0] = static_cast<float>(best_c - 1);
       row[1] = best;
-      decode_box(lp + (b * n + i) * 4, an + i * 4, p.variances, row + 2);
+      detail::ssd_decode_box(lp + (b * n + i) * 4, an + i * 4, p.variances,
+                             row + 2);
     }
   }
   return out;
@@ -345,90 +424,6 @@ Tensor multibox_decode_reference(const Tensor& cls_prob, const Tensor& loc_pred,
                                  const Tensor& anchors,
                                  const MultiboxDetectionParams& p) {
   return decode_detections(cls_prob, loc_pred, anchors, p);
-}
-
-Tensor ssd_decode_heads(const std::vector<SsdHeadView>& heads, int64_t batch,
-                        int64_t num_classes, const Tensor& anchors,
-                        const MultiboxDetectionParams& p) {
-  const int64_t c1 = num_classes;  // includes background 0
-  IGC_CHECK_GE(c1, 2);
-  int64_t total = 0;
-  for (const SsdHeadView& h : heads) {
-    total += h.anchors_per_cell * h.height * h.width;
-  }
-  IGC_CHECK(anchors.shape() == Shape({total, 4}));
-
-  // The skip bound. When every logit is finite and the largest is at least
-  // the running max's initial -1e30f, the max term contributes exp(0) = 1,
-  // so the softmax sum is >= 1 and class c's probability is at most
-  // exp(l_c - max). If that stays below valid_thresh for the largest
-  // non-background logit, it does for every non-background class, and
-  // decode rejects the anchor. The test runs in the log domain with a margin far wider than
-  // expf's rounding error; a threshold that is not a normal positive float
-  // (or is NaN) never skips.
-  const float thresh = p.nms.valid_thresh;
-  const double skip_below =
-      thresh >= std::numeric_limits<float>::min()
-          ? std::log(static_cast<double>(thresh)) - 1e-3
-          : -std::numeric_limits<double>::infinity();
-
-  Tensor out = Tensor::full(Shape{batch, total, kBoxLen}, -1.0f);
-  const float* an = anchors.data_f32();
-  float* o = out.data_f32();
-  std::vector<float> e(static_cast<size_t>(c1));
-  for (int64_t b = 0; b < batch; ++b) {
-    int64_t anchor_off = 0;
-    for (const SsdHeadView& h : heads) {
-      const int64_t a = h.anchors_per_cell;
-      const int64_t plane = h.height * h.width;
-      for (int64_t cell = 0; cell < plane; ++cell) {
-        for (int64_t ai = 0; ai < a; ++ai) {
-          const int64_t anchor = anchor_off + cell * a + ai;
-          // Class c of this anchor is logit[c * plane].
-          const float* logit = h.cls + (b * a + ai) * c1 * plane + cell;
-          float maxv = -1e30f;
-          float top_fg = -std::numeric_limits<float>::infinity();
-          bool finite = true;
-          for (int64_t c = 0; c < c1; ++c) {
-            const float l = logit[c * plane];
-            maxv = std::max(maxv, l);
-            finite = finite && std::isfinite(l);
-            if (c > 0) top_fg = std::max(top_fg, l);
-          }
-          if (finite && std::max(logit[0], top_fg) >= -1e30f &&
-              static_cast<double>(top_fg - maxv) < skip_below) {
-            continue;
-          }
-          // Softmax, each exp computed once and summed in double.
-          double sum = 0.0;
-          for (int64_t c = 0; c < c1; ++c) {
-            e[static_cast<size_t>(c)] = std::exp(logit[c * plane] - maxv);
-            sum += e[static_cast<size_t>(c)];
-          }
-          // Best non-background class, in multibox_decode_reference's order.
-          int64_t best_c = 1;
-          float best = static_cast<float>(e[1] / sum);
-          for (int64_t c = 2; c < c1; ++c) {
-            const float v = static_cast<float>(e[static_cast<size_t>(c)] / sum);
-            if (v > best) {
-              best = v;
-              best_c = c;
-            }
-          }
-          if (best < p.nms.valid_thresh) continue;  // stays invalid
-          float* row = o + (b * total + anchor) * kBoxLen;
-          row[0] = static_cast<float>(best_c - 1);
-          row[1] = best;
-          const int64_t loc_base = (b * a + ai) * 4 * plane + cell;
-          float loc[4];
-          for (int64_t d = 0; d < 4; ++d) loc[d] = h.loc(loc_base + d * plane);
-          decode_box(loc, an + anchor * 4, p.variances, row + 2);
-        }
-      }
-      anchor_off += a * plane;
-    }
-  }
-  return out;
 }
 
 Tensor multibox_detection_reference(const Tensor& cls_prob,
@@ -448,7 +443,7 @@ Tensor multibox_detection_gpu(sim::GpuSimulator& gpu, const Tensor& cls_prob,
   // Decode kernel: one work item per anchor (argmax over classes + box
   // transform), fully parallel and branch-free.
   const Tensor decoded = decode_detections(cls_prob, loc_pred, anchors, p);
-  gpu.launch_elementwise("multibox_decode", bsz * n, [](int64_t) {},
+  gpu.launch_elementwise("multibox_decode", bsz * n,
                          /*flops_per_elem=*/2 * num_classes + 20,
                          /*bytes_per_elem=*/4 * (num_classes + 8));
   return box_nms_gpu(gpu, decoded, p.nms);

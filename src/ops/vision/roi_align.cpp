@@ -98,7 +98,7 @@ Tensor roi_align_gpu(sim::GpuSimulator& gpu, const Tensor& features,
                      const Tensor& rois, const RoiAlignParams& p) {
   Tensor out = roi_align_impl(features, rois, p);
   const int64_t samples = std::max<int64_t>(p.sampling_ratio, 1);
-  gpu.launch_elementwise("roi_align", out.numel(), [](int64_t) {},
+  gpu.launch_elementwise("roi_align", out.numel(),
                          /*flops_per_elem=*/10 * samples * samples,
                          /*bytes_per_elem=*/16 * samples * samples);
   return out;

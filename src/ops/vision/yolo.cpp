@@ -13,7 +13,7 @@ void charge_yolo_decode_gpu(sim::GpuSimulator& gpu, const Shape& head,
   IGC_CHECK_EQ(head.ndim(), 4);
   const int64_t cells = head[0] * head[2] * head[3] *
                         static_cast<int64_t>(p.anchors.size());
-  gpu.launch_elementwise("yolo_decode", cells, [](int64_t) {},
+  gpu.launch_elementwise("yolo_decode", cells,
                          /*flops_per_elem=*/6 * (5 + p.num_classes) + 30,
                          /*bytes_per_elem=*/4 * (5 + p.num_classes));
 }

@@ -4,6 +4,7 @@
 #pragma once
 
 #include <cmath>
+#include <limits>
 #include <utility>
 #include <vector>
 
@@ -30,13 +31,23 @@ inline float yolo_sigmoid(float x) { return 1.0f / (1.0f + std::exp(-x)); }
 /// flat (B, A*(5+num_classes), H, W) head of shape `head`, so a caller can
 /// decode a tensor or produce elements on demand. Returns (B, H*W*A, 6) rows
 /// [class_id, score, x1, y1, x2, y2], normalized coordinates; rows whose
-/// score falls below conf_thresh stay invalid (-1).
+/// score falls below conf_thresh stay invalid (-1). Each element is read at
+/// most once.
 ///
-/// A (cell, anchor) whose objectness misses conf_thresh reads only its
-/// objectness and class-0 logits: every class score is at most 1, so
-/// score = obj * best <= obj cannot reach the threshold. The exception is a
-/// NaN class-0 score, which no later class replaces and which makes the
-/// score NaN; such a row is written, as the comparison lets it through.
+/// Two exact early exits skip rows whose score provably misses conf_thresh:
+///   - A (cell, anchor) whose objectness misses conf_thresh reads only its
+///     objectness and class-0 logits: every class score is at most 1, so
+///     score = obj * best <= obj cannot reach the threshold.
+///   - Any other row reads its class logits once and takes their max m in
+///     the best-class loop's order. Since best = sigmoid(l) for some l <= m,
+///     score <= obj * sigmoid(m), and the row is skipped when that bound,
+///     computed in double and widened by 1e-5 (far more than the rounding of
+///     expf and of the float product), stays below conf_thresh. The test
+///     needs a normal positive conf_thresh: below FLT_MIN the float product
+///     rounds with an absolute, not a relative, error.
+/// A NaN class-0 score (m is then NaN too) or a NaN objectness makes the
+/// score NaN; such a row is written, as the comparison lets it through, so
+/// neither exit takes it.
 template <typename At>
 Tensor yolo_decode_at(const Shape& head, At&& at, const YoloDecodeParams& p) {
   using detail::yolo_sigmoid;
@@ -44,6 +55,7 @@ Tensor yolo_decode_at(const Shape& head, At&& at, const YoloDecodeParams& p) {
   const int64_t bsz = head[0];
   const int64_t a = static_cast<int64_t>(p.anchors.size());
   IGC_CHECK_GT(a, 0);
+  IGC_CHECK_GT(p.num_classes, 0);
   const int64_t per_anchor = 5 + p.num_classes;
   IGC_CHECK_EQ(head[1], a * per_anchor);
   const int64_t gh = head[2];
@@ -54,6 +66,11 @@ Tensor yolo_decode_at(const Shape& head, At&& at, const YoloDecodeParams& p) {
   Tensor out = Tensor::full(Shape{bsz, n, 6}, -1.0f);
   float* o = out.data_f32();
   const float inv_input = 1.0f / static_cast<float>(p.input_size);
+  const double reject_below =
+      p.conf_thresh >= std::numeric_limits<float>::min()
+          ? static_cast<double>(p.conf_thresh)
+          : -std::numeric_limits<double>::infinity();
+  std::vector<float> logit(static_cast<size_t>(p.num_classes));
 
   for (int64_t b = 0; b < bsz; ++b) {
     for (int64_t ai = 0; ai < a; ++ai) {
@@ -62,12 +79,27 @@ Tensor yolo_decode_at(const Shape& head, At&& at, const YoloDecodeParams& p) {
           const int64_t base = (b * a + ai) * per_anchor * plane + gy * gw + gx;
           auto ch = [&](int64_t c) { return at(base + c * plane); };
           const float obj = yolo_sigmoid(ch(4));
+          logit[0] = ch(5);
+          // Class 0's score is NaN exactly when its logit is.
+          if (obj < p.conf_thresh && !std::isnan(logit[0])) continue;
+          float best = yolo_sigmoid(logit[0]);
+          float m = logit[0];
+          for (int64_t c = 1; c < p.num_classes; ++c) {
+            const float l = ch(5 + c);
+            logit[static_cast<size_t>(c)] = l;
+            if (l > m) m = l;
+          }
+          if (!std::isnan(obj) && !std::isnan(m) &&
+              static_cast<double>(obj) /
+                      (1.0 + std::exp(-static_cast<double>(m))) *
+                      (1.0 + 1e-5) <
+                  reject_below) {
+            continue;
+          }
           // Best class.
           int64_t best_c = 0;
-          float best = yolo_sigmoid(ch(5));
-          if (obj < p.conf_thresh && !std::isnan(best)) continue;
           for (int64_t c = 1; c < p.num_classes; ++c) {
-            const float v = yolo_sigmoid(ch(5 + c));
+            const float v = yolo_sigmoid(logit[static_cast<size_t>(c)]);
             if (v > best) {
               best = v;
               best_c = c;

@@ -28,25 +28,19 @@ void GpuSimulator::launch(int64_t num_groups, int group_size,
 }
 
 void GpuSimulator::launch_elementwise(const std::string& name, int64_t n,
-                                      const std::function<void(int64_t)>& body,
                                       int64_t flops_per_elem,
                                       int64_t bytes_per_elem) {
   IGC_CHECK_GT(n, 0);
   const int group_size =
       static_cast<int>(std::min<int64_t>(n, dev_.simd_width * 8));
-  const int64_t num_groups = (n + group_size - 1) / group_size;
   KernelLaunch cost;
   cost.name = name;
   cost.flops = flops_per_elem * n;
   cost.dram_read_bytes = bytes_per_elem * n;
   cost.dram_write_bytes = 4 * n;
-  launch(
-      num_groups, group_size,
-      [&](const WorkItem& item) {
-        const int64_t i = item.global_id();
-        if (i < n) body(i);
-      },
-      std::move(cost));
+  cost.work_items = (n + group_size - 1) / group_size * group_size;
+  cost.work_group_size = group_size;
+  clock_.charge(dev_, cost);
 }
 
 }  // namespace igc::sim

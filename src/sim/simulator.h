@@ -46,10 +46,11 @@ class GpuSimulator {
               const std::function<void(const WorkItem&)>& body,
               KernelLaunch cost);
 
-  /// Convenience: a 1-work-item-per-element launch with the device's
-  /// preferred group size.
+  /// Charges a 1-work-item-per-element kernel over `n` elements at the
+  /// device's preferred group size, exactly as launch() would book that
+  /// geometry, but dispatches nothing: the caller computes the kernel's
+  /// result on the host.
   void launch_elementwise(const std::string& name, int64_t n,
-                          const std::function<void(int64_t)>& body,
                           int64_t flops_per_elem, int64_t bytes_per_elem);
 
  private:

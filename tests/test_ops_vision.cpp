@@ -336,6 +336,111 @@ TEST(BoxNms, OptimizedBeatsNaiveOnClock) {
   EXPECT_LT(c1.total_ms() * 2.0, c2.total_ms());
 }
 
+/// The oracle for the CPU NMS: the reference before it sorted only the rows
+/// that can survive and kept per-class lists. Every row is argsorted, and
+/// each candidate scans every kept row, skipping other classes.
+Tensor box_nms_full_sort(const Tensor& input, const NmsParams& p,
+                         int64_t* iou_evals) {
+  *iou_evals = 0;
+  const int64_t bsz = input.shape()[0];
+  const int64_t n = input.shape()[1];
+  Tensor out = Tensor::full(input.shape(), -1.0f);
+  for (int64_t b = 0; b < bsz; ++b) {
+    const float* batch = input.data_f32() + b * n * 6;
+    std::vector<int32_t> order(static_cast<size_t>(n));
+    std::iota(order.begin(), order.end(), 0);
+    std::stable_sort(order.begin(), order.end(), [&](int32_t x, int32_t y) {
+      return batch[x * 6 + 1] > batch[y * 6 + 1];
+    });
+    std::vector<int64_t> kept;
+    for (int64_t oi = 0; oi < n; ++oi) {
+      const int64_t i = order[static_cast<size_t>(oi)];
+      const float* bi = batch + i * 6;
+      if (bi[0] < 0.0f || bi[1] < p.valid_thresh) continue;
+      if (p.topk >= 0 && oi >= p.topk) break;
+      bool suppressed = false;
+      for (int64_t k : kept) {
+        const float* bk = batch + k * 6;
+        if (!p.force_suppress && bk[0] != bi[0]) continue;
+        ++*iou_evals;
+        if (box_iou(bk + 2, bi + 2) > p.iou_threshold) {
+          suppressed = true;
+          break;
+        }
+      }
+      if (!suppressed) kept.push_back(i);
+    }
+    float* o = out.data_f32() + b * n * 6;
+    for (size_t j = 0; j < kept.size(); ++j) {
+      std::copy(batch + kept[j] * 6, batch + kept[j] * 6 + 6, o + j * 6);
+    }
+  }
+  return out;
+}
+
+// Sorting only the rows at or above valid_thresh, and scanning per-class
+// kept lists, must keep the full sort's output and IoU count: NaN scores
+// (which make the whole batch sort), NaN, -0 and +0 classes, negative
+// classes with high scores (they hold sorted positions that topk counts),
+// tied scores and scores exactly at the threshold, across topk and
+// force_suppress.
+TEST(BoxNms, FilteredSortMatchesFullSort) {
+  const float classes[] = {0.0f, 1.0f, 2.0f, 3.0f, -0.0f, kNan, -1.0f, -2.0f};
+  Rng rng(404);
+  for (int trial = 0; trial < 24; ++trial) {
+    const int64_t bsz = 2;
+    const int64_t n = 40 + 60 * (trial % 4);
+    const bool nan_scores = trial % 3 == 0;
+    Tensor in(Shape{bsz, n, 6}, DType::kFloat32);
+    for (int64_t i = 0; i < bsz * n; ++i) {
+      float* row = in.data_f32() + i * 6;
+      row[0] = classes[rng.next_below(std::size(classes))];
+      switch (rng.next_below(6)) {
+        case 0:  // tie on a coarse grid
+          row[1] = 0.1f * static_cast<float>(rng.next_below(10));
+          break;
+        case 1:  // at or just below valid_thresh
+          row[1] = rng.next_below(2) == 0 ? 0.01f : 0.005f;
+          break;
+        case 2:
+          row[1] = nan_scores && rng.next_below(4) == 0 ? kNan : 0.0f;
+          break;
+        default:
+          row[1] = rng.next_float(0.0f, 1.0f);
+          break;
+      }
+      // Boxes crowd one corner, so suppression has work to do.
+      const float x1 = rng.next_float(0.0f, 0.3f);
+      const float y1 = rng.next_float(0.0f, 0.3f);
+      row[2] = x1;
+      row[3] = y1;
+      row[4] = x1 + rng.next_float(0.1f, 0.4f);
+      row[5] = y1 + rng.next_float(0.1f, 0.4f);
+    }
+    for (int64_t topk : {int64_t{-1}, int64_t{0}, int64_t{1}, int64_t{400}}) {
+      for (bool force : {false, true}) {
+        for (float thresh : {0.01f, 0.0f, 0.5f}) {
+          NmsParams p;
+          p.iou_threshold = 0.4f;
+          p.valid_thresh = thresh;
+          p.topk = topk;
+          p.force_suppress = force;
+          int64_t evals = -1;
+          int64_t want_evals = -2;
+          const Tensor got = box_nms_reference_counted(in, p, &evals);
+          const Tensor want = box_nms_full_sort(in, p, &want_evals);
+          EXPECT_TRUE(same_bits(got, want))
+              << "trial " << trial << " topk " << topk << " force " << force
+              << " valid_thresh " << thresh;
+          EXPECT_EQ(evals, want_evals)
+              << "trial " << trial << " topk " << topk << " force " << force
+              << " valid_thresh " << thresh;
+        }
+      }
+    }
+  }
+}
+
 // ---- multibox --------------------------------------------------------------
 
 TEST(MultiboxPrior, CountAndCenters) {
@@ -473,20 +578,55 @@ Tensor assemble_and_decode(const std::vector<SsdHead>& heads, int64_t c1,
   return multibox_decode_reference(cls_prob, loc_pred, anchors, p);
 }
 
-std::vector<SsdHeadView> views_of(const std::vector<SsdHead>& heads,
-                                  int64_t c1) {
-  std::vector<SsdHeadView> views;
+/// Decodes materialized heads scale by scale, as the executor does with
+/// numerics on.
+Tensor decode_tensor_heads(const std::vector<SsdHead>& heads, int64_t c1,
+                           const Tensor& anchors,
+                           const MultiboxDetectionParams& p) {
+  Tensor out = Tensor::full(
+      Shape{heads[0].cls.shape()[0], anchors.shape()[0], 6}, -1.0f);
+  int64_t anchor_off = 0;
   for (const SsdHead& h : heads) {
     SsdHeadView v;
-    v.cls = h.cls.data_f32();
     const float* lp = h.loc.data_f32();
     v.loc = [lp](int64_t i) { return lp[i]; };
     v.anchors_per_cell = h.cls.shape()[1] / c1;
     v.height = h.cls.shape()[2];
     v.width = h.cls.shape()[3];
-    views.push_back(std::move(v));
+    ssd_decode_head(SsdTensorLogits(h.cls, c1), v, c1, anchor_off, anchors,
+                    p, out);
+    anchor_off += v.anchors_per_cell * v.height * v.width;
   }
-  return views;
+  EXPECT_EQ(anchor_off, anchors.shape()[0]);
+  return out;
+}
+
+/// The oracle for the stream source: the eager in-order fill the executor
+/// used to run before decoding.
+Tensor synthesize_ssd_cls_eager(const Shape& shape, int64_t num_classes,
+                                Rng& rng) {
+  Tensor t(shape, DType::kFloat32);
+  const int64_t b = shape[0];
+  const int64_t channels = shape[1];
+  const int64_t hw = shape.numel() / (b * channels);
+  float* p = t.data_f32();
+  for (int64_t bi = 0; bi < b; ++bi) {
+    for (int64_t ch = 0; ch < channels; ++ch) {
+      const int64_t cls = ch % num_classes;
+      for (int64_t i = 0; i < hw; ++i) {
+        float v;
+        if (cls == 0) {
+          v = 6.0f;  // strong background logit
+        } else if (rng.next_double() < 0.002) {
+          v = rng.next_float(2.0f, 7.0f);  // a genuine detection
+        } else {
+          v = rng.next_float(-6.0f, -2.0f);
+        }
+        p[(bi * channels + ch) * hw + i] = v;
+      }
+    }
+  }
+  return t;
 }
 
 Tensor random_anchors(int64_t n, Rng& rng) {
@@ -521,58 +661,107 @@ int64_t total_anchors(const std::vector<Scale>& scales) {
   return n;
 }
 
-// The executor's shapes-only recipe: class logits synthesized in full,
-// deltas produced on demand by jumping the Rng, against heads filled in
-// order from the same seed.
-TEST(SsdDecodeHeads, MatchesAssemblyOnSynthesizedHeads) {
+/// The shapes-only recipe the executor runs: per head, the class-logit
+/// stream and then the deltas, each read on demand from a copy of one Rng
+/// that then jumps past them. Against heads filled in order from the same
+/// seed: every logit and delta equals the eager fill's, every finite gap
+/// bound holds on the logits it stands for, both generators end at the same
+/// draw, and the decode matches at thresholds above and below the stream's
+/// one-draw bound (valid_thresh = 1e-4 reads every anchor's logits).
+void expect_stream_decode_matches_eager(const std::vector<Scale>& scales,
+                                        int64_t bsz, uint64_t seed) {
   const int64_t c1 = 21;
-  const int64_t bsz = 2;
   const Tensor anchors = [&] {
     Rng rng(5);
-    return random_anchors(total_anchors(kSsdScales), rng);
+    return random_anchors(total_anchors(scales), rng);
   }();
-  for (uint64_t seed : {1ull, 2ull, 0xbe5cull}) {
-    Rng eager(seed);
-    std::vector<SsdHead> heads;
-    for (const Scale& s : kSsdScales) {
-      SsdHead h;
-      h.cls = graph::synthesize_ssd_cls(Shape{bsz, s.a * c1, s.h, s.w}, c1,
-                                        eager);
-      h.loc = Tensor::random_normal(Shape{bsz, s.a * 4, s.h, s.w}, eager, 0.3f);
-      heads.push_back(std::move(h));
+  Rng eager(seed);
+  std::vector<SsdHead> heads;
+  for (const Scale& s : scales) {
+    SsdHead h;
+    h.cls = synthesize_ssd_cls_eager(Shape{bsz, s.a * c1, s.h, s.w}, c1, eager);
+    h.loc = Tensor::random_normal(Shape{bsz, s.a * 4, s.h, s.w}, eager, 0.3f);
+    heads.push_back(std::move(h));
+  }
+  Rng lazy(seed);
+  std::vector<graph::SyntheticSsdCls> cls;
+  std::vector<graph::SyntheticNormal> loc;
+  for (const Scale& s : scales) {
+    cls.emplace_back(lazy, Shape{bsz, s.a * c1, s.h, s.w}, c1);
+    lazy.discard(cls.back().draws());
+    loc.emplace_back(lazy, 0.3f);
+    lazy.discard(2 * static_cast<uint64_t>(bsz * s.a * 4 * s.h * s.w));
+  }
+  EXPECT_EQ(eager.next_u64(), lazy.next_u64());
+  std::vector<float> logit(static_cast<size_t>(c1));
+  for (size_t i = 0; i < scales.size(); ++i) {
+    const Scale& s = scales[i];
+    const int64_t plane = s.h * s.w;
+    for (int64_t b = 0; b < bsz; ++b) {
+      for (int64_t ai = 0; ai < s.a; ++ai) {
+        for (int64_t cell = 0; cell < plane; ++cell) {
+          cls[i].logits(b, ai, cell, logit.data());
+          const float* fill = heads[i].cls.data_f32() +
+                              (b * s.a + ai) * c1 * plane + cell;
+          float top_fg = -kInf;
+          for (int64_t c = 0; c < c1; ++c) {
+            ASSERT_EQ(logit[static_cast<size_t>(c)], fill[c * plane])
+                << "scale " << i << " batch " << b << " anchor " << ai
+                << " cell " << cell << " class " << c;
+            if (c > 0) top_fg = std::max(top_fg, fill[c * plane]);
+          }
+          const double bound = cls[i].gap_bound(b, ai, cell);
+          if (!std::isinf(bound)) {
+            ASSERT_LE(top_fg - std::max(fill[0], top_fg), bound);
+          }
+        }
+      }
     }
-    Rng lazy(seed);
-    std::vector<Tensor> cls;
-    std::vector<SsdHeadView> views;
-    for (size_t i = 0; i < kSsdScales.size(); ++i) {
-      const Scale& s = kSsdScales[i];
-      cls.push_back(graph::synthesize_ssd_cls(Shape{bsz, s.a * c1, s.h, s.w},
-                                              c1, lazy));
+    for (int64_t j = 0; j < heads[i].loc.numel(); ++j) {
+      ASSERT_EQ(loc[i](j), heads[i].loc.data_f32()[j])
+          << "scale " << i << " delta " << j;
+    }
+  }
+  for (float thresh : {0.0f, 1e-4f, 0.01f, 0.5f}) {
+    MultiboxDetectionParams p;
+    p.nms.valid_thresh = thresh;
+    Tensor got = Tensor::full(Shape{bsz, anchors.shape()[0], 6}, -1.0f);
+    int64_t anchor_off = 0;
+    for (size_t i = 0; i < scales.size(); ++i) {
+      const Scale& s = scales[i];
       SsdHeadView v;
-      v.cls = cls.back().data_f32();
-      v.loc = graph::SyntheticNormal(lazy, 0.3f);
-      const int64_t deltas = bsz * s.a * 4 * s.h * s.w;
-      lazy.discard(2 * static_cast<uint64_t>(deltas));
+      v.loc = loc[i];
       v.anchors_per_cell = s.a;
       v.height = s.h;
       v.width = s.w;
-      EXPECT_TRUE(same_bits(cls.back(), heads[i].cls));
-      for (int64_t j = 0; j < deltas; ++j) {
-        ASSERT_EQ(v.loc(j), heads[i].loc.data_f32()[j]) << "delta " << j;
-      }
-      views.push_back(std::move(v));
+      ssd_decode_head(cls[i], v, c1, anchor_off, anchors, p, got);
+      anchor_off += s.a * s.h * s.w;
     }
-    for (float thresh : {0.0f, 0.01f, 0.5f}) {
-      MultiboxDetectionParams p;
-      p.nms.valid_thresh = thresh;
-      const Tensor want = assemble_and_decode(heads, c1, anchors, p);
-      EXPECT_TRUE(same_bits(ssd_decode_heads(views, bsz, c1, anchors, p), want))
-          << "seed " << seed << " valid_thresh " << thresh;
-      if (thresh == 0.01f) {
-        EXPECT_GT(valid_rows(want), 0);
-      }
+    const Tensor want = assemble_and_decode(heads, c1, anchors, p);
+    EXPECT_TRUE(same_bits(got, want))
+        << "seed " << seed << " valid_thresh " << thresh;
+    if (thresh == 0.01f) {
+      EXPECT_GT(valid_rows(want), 0);
     }
   }
+}
+
+TEST(SsdDecodeHeads, MatchesAssemblyOnSynthesizedHeads) {
+  for (uint64_t seed : {1ull, 2ull, 0xbe5cull}) {
+    expect_stream_decode_matches_eager(kSsdScales, /*bsz=*/2, seed);
+  }
+}
+
+/// The heads of SSD_MobileNet1.0 at 512: (anchors per cell, height, width)
+/// per scale, 24,564 anchors over 21 classes.
+const std::vector<Scale> kSsdMobileNet512 = {
+    {4, 64, 64}, {6, 32, 32}, {6, 16, 16}, {6, 8, 8},
+    {6, 4, 4},   {4, 2, 2},   {4, 1, 1}};
+
+TEST(SsdDecodeHeads, StreamMatchesEagerFillAtSsdMobileNet512) {
+  EXPECT_EQ(total_anchors(kSsdMobileNet512), 24564);
+  expect_stream_decode_matches_eager(kSsdMobileNet512, /*bsz=*/1, 3);
+  expect_stream_decode_matches_eager(kSsdMobileNet512, /*bsz=*/2, 0x5eed);
 }
 
 // Logits that break the skip bound's premises must run the full softmax:
@@ -628,11 +817,10 @@ TEST(SsdDecodeHeads, MatchesAssemblyOnAdversarialLogits) {
       }
       heads.push_back(std::move(h));
     }
-    const std::vector<SsdHeadView> views = views_of(heads, c1);
     for (float thresh : {0.0f, 0.01f, 0.2f, 1.0f, -0.5f, kNan}) {
       MultiboxDetectionParams p;
       p.nms.valid_thresh = thresh;
-      EXPECT_TRUE(same_bits(ssd_decode_heads(views, bsz, c1, anchors, p),
+      EXPECT_TRUE(same_bits(decode_tensor_heads(heads, c1, anchors, p),
                             assemble_and_decode(heads, c1, anchors, p)))
           << "trial " << trial << " valid_thresh " << thresh;
     }
@@ -864,6 +1052,73 @@ TEST(YoloDecode, LazySyntheticHeadMatchesEagerFill) {
     EXPECT_TRUE(same_bits(yolo_decode_at(shape, lazy, p), want));
     EXPECT_GT(valid_rows(want), 0);
   }
+}
+
+// Rows past the objectness exit are rejected in logit space when
+// obj * sigmoid(max logit), widened by 1e-5, misses conf_thresh. Against
+// the loop without early exits: NaN and +-inf logits, thresholds of 0,
+// negative, subnormal and FLT_MIN, and thresholds within one ulp of a row's
+// score, where only the margin keeps the bound above the float score.
+TEST(YoloDecode, LogitSpaceRejectionMatchesFullDecode) {
+  auto sigmoid = [](float x) { return 1.0f / (1.0f + std::exp(-x)); };
+  YoloDecodeParams p = small_yolo();
+  const int64_t per_anchor = 5 + p.num_classes;
+  const int64_t plane = 5 * 4;
+  const Shape shape{2, 3 * per_anchor, 5, 4};
+  const int64_t rows = 2 * 3 * plane;
+  const float specials[] = {kNan, kInf, -kInf};
+  Rng rng(1717);
+  for (int trial = 0; trial < 40; ++trial) {
+    Tensor head = Tensor::random_normal(shape, rng, 3.0f);
+    float* h = head.data_f32();
+    // (b * A + a) * per_anchor * plane + cell addresses a row's channel 0.
+    auto at = [&](int64_t row, int64_t ch) -> float& {
+      return h[(row / plane) * per_anchor * plane + row % plane + ch * plane];
+    };
+    for (int64_t row = 0; row < rows; ++row) {
+      at(row, 4) = rng.next_float(-1.0f, 4.0f);  // most rows pass objectness
+      if (rng.next_double() < 0.15) {
+        at(row, 4 + static_cast<int64_t>(rng.next_below(p.num_classes + 1))) =
+            specials[rng.next_below(std::size(specials))];
+      }
+      if (rng.next_double() < 0.1) {  // tiny objectness: subnormal scores
+        at(row, 4) = rng.next_float(-104.0f, -86.0f);
+      }
+    }
+    // One finite row's exact score sets the near-threshold cases.
+    const int64_t pick = static_cast<int64_t>(rng.next_below(rows));
+    at(pick, 4) = rng.next_float(0.0f, 3.0f);
+    float best = 0.0f;
+    for (int64_t c = 0; c < p.num_classes; ++c) {
+      at(pick, 5 + c) = rng.next_float(-6.0f, 2.0f);
+      best = std::max(best, sigmoid(at(pick, 5 + c)));
+    }
+    const float score = sigmoid(at(pick, 4)) * best;
+    const float fmin = std::numeric_limits<float>::min();
+    for (float thresh :
+         {score, std::nextafter(score, 0.0f), std::nextafter(score, 2.0f),
+          score * (1.0f + 2e-6f), 0.0f, -0.5f, 0.01f, 0.3f, 1.0f, 1e-45f,
+          fmin / 2.0f, fmin}) {
+      p.conf_thresh = thresh;
+      EXPECT_TRUE(
+          same_bits(yolo_decode_reference(head, p), yolo_decode_full(head, p)))
+          << "trial " << trial << " conf_thresh " << thresh;
+    }
+  }
+}
+
+// At a subnormal threshold the float score rounds with an absolute error
+// that the 1e-5 margin does not cover: here obj * best is about 1.12e-45
+// and rounds up to the threshold, so the logit-space exit must not run.
+TEST(YoloDecode, SubnormalThresholdKeepsRoundedUpScore) {
+  YoloDecodeParams p = small_yolo();
+  p.anchors = {{16, 16}};
+  Tensor head = Tensor::full(Shape{1, 5 + p.num_classes, 1, 1}, -15.5f);
+  head.data_f32()[4] = -88.0f;  // objectness about 6.05e-39
+  p.conf_thresh = std::numeric_limits<float>::denorm_min();
+  const Tensor out = yolo_decode_reference(head, p);
+  EXPECT_TRUE(same_bits(out, yolo_decode_full(head, p)));
+  EXPECT_EQ(out.data_f32()[1], p.conf_thresh);
 }
 
 }  // namespace

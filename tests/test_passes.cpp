@@ -303,20 +303,27 @@ TEST(Passes, DisablingAnySinglePassStillCompilesAndRuns) {
 TEST(Passes, PipelineThatNeverCompactsIsRefused) {
   // Cut before dce/place, the fold/fuse markers stay in the node list; the
   // memory planner refuses such a graph, so compile() fails instead of
-  // planning and running dead nodes.
-  Rng rng(0x5eed);
+  // planning and running dead nodes. It fails before tuning, so a tuned
+  // compile runs no trial first.
   const sim::Platform& plat = sim::platform(sim::PlatformId::kDeepLens);
-  try {
-    compile_fast(models::build_mobilenet(rng, 64, 1, 10), plat,
-                 [](CompileOptions& o) {
-                   o.skip_tuning = true;
-                   o.pass_names = {"fold_scale_shift", "fuse_activation"};
-                 });
-    FAIL() << "compile() accepted a pipeline that never compacts";
-  } catch (const Error& e) {
-    const std::string msg = e.what();
-    EXPECT_NE(msg.find("dce"), std::string::npos) << msg;
-    EXPECT_NE(msg.find("place"), std::string::npos) << msg;
+  const obs::Counter& trials =
+      obs::MetricsRegistry::global().counter("tune.trials");
+  for (bool skip_tuning : {true, false}) {
+    Rng rng(0x5eed);
+    const int64_t trials_before = trials.value();
+    try {
+      compile_fast(models::build_mobilenet(rng, 64, 1, 10), plat,
+                   [&](CompileOptions& o) {
+                     o.skip_tuning = skip_tuning;
+                     o.pass_names = {"fold_scale_shift", "fuse_activation"};
+                   });
+      ADD_FAILURE() << "compile() accepted a pipeline that never compacts";
+    } catch (const Error& e) {
+      const std::string msg = e.what();
+      EXPECT_NE(msg.find("dce"), std::string::npos) << msg;
+      EXPECT_NE(msg.find("place"), std::string::npos) << msg;
+    }
+    EXPECT_EQ(trials.value(), trials_before) << "skip_tuning " << skip_tuning;
   }
 }
 

@@ -1,6 +1,7 @@
 // Unit tests for src/sim: device registry, timing model, simulator.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
 
 #include "sim/clock.h"
@@ -157,13 +158,46 @@ TEST(GpuSimulator, LocalIdsSequentialWithinGroup) {
       KernelLaunch{});
 }
 
-TEST(GpuSimulator, ElementwiseCoversAll) {
-  SimClock clock;
-  GpuSimulator gpu(platform(PlatformId::kAiSage).gpu, clock);
-  std::vector<std::atomic<int>> hits(1000);
-  gpu.launch_elementwise("ew", 1000,
-                         [&](int64_t i) { hits[static_cast<size_t>(i)]++; }, 1, 4);
-  for (auto& h : hits) EXPECT_EQ(h.load(), 1);
+// launch_elementwise() dispatches nothing, so the event it books must be the
+// one a launch() of the same geometry (the device's preferred group size,
+// rounded up to whole groups) books, for partial and whole last groups.
+TEST(GpuSimulator, ElementwiseLaunchBooksLaunchGeometry) {
+  const DeviceSpec& dev = platform(PlatformId::kAiSage).gpu;
+  const int64_t group = dev.simd_width * 8;
+  for (int64_t n : {int64_t{1}, int64_t{7}, group, group + 1, int64_t{1000},
+                    int64_t{24564} * 6}) {
+    SimClock charged;
+    GpuSimulator(dev, charged).launch_elementwise("ew", n, 3, 12);
+    SimClock launched;
+    KernelLaunch k;
+    k.name = "ew";
+    k.flops = 3 * n;
+    k.dram_read_bytes = 12 * n;
+    k.dram_write_bytes = 4 * n;
+    const int64_t g = std::min(n, group);
+    GpuSimulator(dev, launched)
+        .launch((n + g - 1) / g, static_cast<int>(g), [](const WorkItem&) {},
+                k);
+    ASSERT_EQ(charged.events().size(), 1u);
+    ASSERT_EQ(launched.events().size(), 1u);
+    const ClockEvent& a = charged.events()[0];
+    const ClockEvent& b = launched.events()[0];
+    EXPECT_EQ(a.name, b.name);
+    EXPECT_EQ(a.ms, b.ms) << "n " << n;
+    EXPECT_EQ(a.lane, b.lane);
+    EXPECT_EQ(a.category, b.category);
+    EXPECT_EQ(a.bytes, b.bytes);
+    EXPECT_EQ(a.counters.launches, b.counters.launches);
+    EXPECT_EQ(a.counters.flops, b.counters.flops);
+    EXPECT_EQ(a.counters.dram_bytes, b.counters.dram_bytes);
+    EXPECT_EQ(a.counters.compute_ms, b.counters.compute_ms);
+    EXPECT_EQ(a.counters.memory_ms, b.counters.memory_ms);
+    EXPECT_EQ(a.counters.divergence_ms, b.counters.divergence_ms);
+    EXPECT_EQ(a.counters.overhead_ms, b.counters.overhead_ms);
+    EXPECT_EQ(a.counters.occupancy, b.counters.occupancy) << "n " << n;
+    EXPECT_EQ(a.counters.bound, b.counters.bound);
+    EXPECT_EQ(charged.total_ms(), launched.total_ms());
+  }
 }
 
 }  // namespace

@@ -23,7 +23,6 @@ std::set<graph::OpKind> every_op_kind() {
           graph::OpKind::kPool2d,      graph::OpKind::kGlobalAvgPool,
           graph::OpKind::kDense,       graph::OpKind::kFlatten,
           graph::OpKind::kSoftmax,     graph::OpKind::kUpsample2x,
-          graph::OpKind::kMultiboxDetection,
           graph::OpKind::kSsdDetection, graph::OpKind::kYoloDecode,
           graph::OpKind::kDetectionConcat, graph::OpKind::kBoxNms};
 }

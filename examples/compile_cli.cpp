@@ -294,8 +294,7 @@ int main(int argc, char** argv) {
       }
     } else if (!std::strcmp(argv[i], "--fallback-nms")) {
       opts.cpu_fallback_ops = {graph::OpKind::kBoxNms,
-                               graph::OpKind::kSsdDetection,
-                               graph::OpKind::kMultiboxDetection};
+                               graph::OpKind::kSsdDetection};
     } else if (!std::strcmp(argv[i], "--dump-graph")) {
       dump_graph = true;
     } else if (!std::strcmp(argv[i], "--dump-kernels")) {

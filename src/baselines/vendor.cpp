@@ -123,7 +123,6 @@ bool is_detection_model(const models::Model& model) {
   for (const auto& n : model.graph.nodes()) {
     switch (n.kind) {
       case graph::OpKind::kSsdDetection:
-      case graph::OpKind::kMultiboxDetection:
       case graph::OpKind::kYoloDecode:
       case graph::OpKind::kBoxNms:
         return true;
@@ -228,7 +227,6 @@ BaselineResult run_baseline(VendorLib lib, const models::Model& model,
                sim::Lane::kGpu, sim::OpCategory::kOther, n.name);
         break;
       case graph::OpKind::kSsdDetection:
-      case graph::OpKind::kMultiboxDetection:
       case graph::OpKind::kBoxNms:
         // ACL/OpenVINO run the vision block on the host CPU (with the copies
         // folded into the same analytic charge); MXNet keeps it on the GPU.

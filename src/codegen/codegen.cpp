@@ -3,6 +3,7 @@
 #include <cmath>
 #include <sstream>
 
+#include "codegen/float_literal.h"
 #include "core/error.h"
 
 namespace igc::codegen {
@@ -55,6 +56,11 @@ struct Dialect {
   std::string type_name(DType t) const {
     return std::string(cuda ? dtype_cuda_name(t) : dtype_opencl_name(t));
   }
+  /// OpenCL C is C99, whose keyword is `restrict`; CUDA is C++, which has
+  /// none, and nvcc spells the qualifier `__restrict__`.
+  std::string restrict_qualifier() const {
+    return cuda ? "__restrict__" : "restrict";
+  }
   /// Per-thread arrays live in registers / local memory on CUDA and in the
   /// private address space on OpenCL.
   std::string private_qualifier() const { return cuda ? "" : "__private "; }
@@ -82,7 +88,8 @@ class Printer {
       if (i) os_ << ", ";
       os_ << d_.global_qualifier();
       if (!p.is_output) os_ << "const ";
-      os_ << d_.type_name(p.dtype) << "* restrict " << p.name;
+      os_ << d_.type_name(p.dtype) << "* " << d_.restrict_qualifier() << " "
+          << p.name;
     }
     os_ << ") {\n";
     indent_ = 1;
@@ -157,19 +164,10 @@ class Printer {
     switch (e->kind) {
       case ExprKind::kIntImm:
         return std::to_string(e->int_val);
-      case ExprKind::kFloatImm: {
-        if (!std::isfinite(e->float_val)) {
-          return d_.nonfinite_literal(e->float_val);
-        }
-        std::ostringstream os;
-        os << e->float_val;
-        std::string s = os.str();
-        if (s.find('.') == std::string::npos &&
-            s.find('e') == std::string::npos) {
-          s += ".0";
-        }
-        return s + "f";
-      }
+      case ExprKind::kFloatImm:
+        return std::isfinite(e->float_val)
+                   ? finite_float_literal(e->float_val)
+                   : d_.nonfinite_literal(e->float_val);
       case ExprKind::kVar:
         return e->name;
       case ExprKind::kBinary:

@@ -24,10 +24,10 @@
 // __builtin_nanf), since the module includes no headers.
 #include <cinttypes>
 #include <cmath>
-#include <cstdio>
 #include <sstream>
 
 #include "codegen/codegen.h"
+#include "codegen/float_literal.h"
 #include "core/error.h"
 
 namespace igc::codegen {
@@ -166,19 +166,13 @@ class CppPrinter {
     }
   }
 
-  /// A single-precision literal for `v`: %.9g round-trips every float.
-  /// Infinities and NaN have no decimal spelling; GCC and Clang both provide
-  /// the builtins, and the module includes no headers.
+  /// A single-precision literal for `v`. Infinities and NaN have no decimal
+  /// spelling; GCC and Clang both provide the builtins, and the module
+  /// includes no headers.
   static std::string fimm_str(double v) {
     if (std::isnan(v)) return "__builtin_nanf(\"\")";
     if (std::isinf(v)) return v > 0 ? "__builtin_inff()" : "(-__builtin_inff())";
-    char buf[48];
-    std::snprintf(buf, sizeof(buf), "%.9g", v);
-    std::string s(buf);
-    if (s.find('.') == std::string::npos && s.find('e') == std::string::npos) {
-      s += ".0";
-    }
-    return s + "f";
+    return finite_float_literal(v);
   }
 
   std::string expr(const ExprPtr& e) {

@@ -1,6 +1,5 @@
 #include "codegen/jit_lower.h"
 
-#include <chrono>
 #include <cstdio>
 #include <functional>
 #include <map>
@@ -70,29 +69,12 @@ void sig_epilogue(std::ostringstream& os, const ops::HostEpilogue& e) {
 
 }  // namespace
 
-LowerResult build_dispatch_table(const graph::Graph& g, KernelCache& cache,
-                                 obs::TraceRecorder* trace) {
-  using Clock = std::chrono::steady_clock;
-  const auto t_begin = Clock::now();
-  auto span = [&](const char* name, Clock::time_point t0) {
-    if (trace == nullptr) return;
-    obs::TraceSpan s;
-    s.name = name;
-    s.op = "jit";
-    s.host_start_us =
-        std::chrono::duration<double, std::micro>(t0 - t_begin).count();
-    s.host_end_us =
-        std::chrono::duration<double, std::micro>(Clock::now() - t_begin)
-            .count();
-    trace->record(std::move(s));
-  };
-
+LowerResult build_dispatch_table(const graph::Graph& g, KernelCache& cache) {
   LowerResult result;
   const ops::HostConvTile tile =
       ops::host_conv_tile(Toolchain::host().isa_level());
 
   // ---- Lower every coverable node, deduplicating by signature -----------
-  const auto t_lower = Clock::now();
   std::vector<NodePlan> plans;
   std::map<std::string, PendingKernel> kernels;  // signature -> kernel
 
@@ -204,23 +186,19 @@ LowerResult build_dispatch_table(const graph::Graph& g, KernelCache& cache,
     }
     plans.push_back(std::move(plan));
   }
-  span("jit.lower", t_lower);
 
   if (plans.empty()) return result;
 
   // ---- Emit one translation unit (kernels in symbol order, so the source
   // bytes — and thus the cache key — are deterministic) -------------------
-  const auto t_emit = Clock::now();
   std::map<std::string, const ir::LoweredKernel*> by_symbol;
   for (const auto& [sig, pk] : kernels) by_symbol[pk.symbol] = &pk.lowered;
   std::ostringstream src;
   src << "// igc JIT module: " << by_symbol.size() << " kernels\n";
   for (const auto& [sym, lk] : by_symbol) src << "\n" << emit_cpp(*lk);
   const std::string source = src.str();
-  span("jit.emit", t_emit);
 
   // ---- Compile / load through the artifact cache ------------------------
-  const auto t_compile = Clock::now();
   auto& m = obs::MetricsRegistry::global();
   const int64_t invocations_before = m.counter("jit.toolchain_invocations").value();
   std::string err;
@@ -228,7 +206,6 @@ LowerResult build_dispatch_table(const graph::Graph& g, KernelCache& cache,
   if (m.counter("jit.toolchain_invocations").value() > invocations_before) {
     m.counter("jit.kernels_compiled").add(static_cast<int64_t>(kernels.size()));
   }
-  span("jit.compile", t_compile);
   if (module == nullptr) {
     result.error = err;
     return result;

@@ -25,7 +25,6 @@
 
 #include "codegen/jit.h"
 #include "graph/graph.h"
-#include "obs/trace.h"
 
 namespace igc::codegen::jit {
 
@@ -39,9 +38,7 @@ struct LowerResult {
 };
 
 /// Lowers `g` and compiles its module through `cache`. Records
-/// jit.kernels_compiled when the toolchain actually ran (cache misses only)
-/// and, when `trace` is non-null, one span per lowering/compile step.
-LowerResult build_dispatch_table(const graph::Graph& g, KernelCache& cache,
-                                 obs::TraceRecorder* trace = nullptr);
+/// jit.kernels_compiled when the toolchain actually ran (cache misses only).
+LowerResult build_dispatch_table(const graph::Graph& g, KernelCache& cache);
 
 }  // namespace igc::codegen::jit

@@ -20,7 +20,6 @@ CompiledModel compile(models::Model model, const sim::Platform& platform,
   cm.platform_ = &platform;
   cm.graph_ = std::move(model.graph);
   graph::PassPipelineOptions popts;
-  popts.validate_after_each = opts.validate_after_each_pass;
   popts.dump_graph_after = opts.dump_graph_after;
   popts.dump_stream = opts.dump_stream;
   const graph::PassPipeline pipeline = graph::build_pipeline(
@@ -53,8 +52,8 @@ CompiledModel compile(models::Model model, const sim::Platform& platform,
 
   if (opts.backend == Backend::kJit) {
     auto& cache = codegen::jit::KernelCache::shared(opts.kernel_cache_dir);
-    codegen::jit::LowerResult lr = codegen::jit::build_dispatch_table(
-        cm.graph_, cache, opts.compile_trace);
+    codegen::jit::LowerResult lr =
+        codegen::jit::build_dispatch_table(cm.graph_, cache);
     cm.jit_ = lr.table;
     cm.jit_kernels_ = lr.kernels;
     cm.jit_nodes_covered_ = lr.nodes_covered;

@@ -76,9 +76,6 @@ struct CompileOptions {
   /// Artifact-cache directory for compiled kernels; empty resolves
   /// $IGC_KERNEL_CACHE, then ~/.cache/igc-kernels.
   std::string kernel_cache_dir;
-  /// When set, JIT lowering / emission / toolchain steps record one span
-  /// each on this recorder. Must outlive the call.
-  obs::TraceRecorder* compile_trace = nullptr;
 
   // --- graph pass pipeline (see graph/pass_manager.h) ---------------------
   /// Explicit pass order; empty runs graph::default_pass_names(). Unknown
@@ -89,8 +86,6 @@ struct CompileOptions {
   /// raises igc::Error from the memory planner otherwise. Unplaced graphs
   /// run (every node on the GPU lane).
   std::set<std::string> disabled_passes;
-  /// Run Graph::validate() after every pass (compile-time cost only).
-  bool validate_after_each_pass = false;
   /// Stream Graph::summary() after each named pass to `dump_stream`
   /// (std::cerr when null) — the `igc-compile --dump-graph-after` view.
   std::set<std::string> dump_graph_after;

@@ -33,26 +33,15 @@ struct Value {
   int arena_buffer = -1;  // arena buffer id backing this value, -1 if none
 };
 
-/// Everything one node's execution charges and draws from: its own simulated
-/// clock/GPU, whose charges finalize() merges into both time models, and its
-/// private Rng. The Rng is seeded from (run seed, node name) so a node's
-/// synthetic data does not depend on which nodes ran before it.
-struct NodeCtx {
-  sim::SimClock clock;
-  sim::GpuSimulator gpu;
-  Rng rng;
-  NodeCtx(const sim::DeviceSpec& dev, uint64_t seed)
-      : gpu(dev, clock), rng(seed) {}
-};
-
-/// The simulated cost and trace of one node, merged after dispatch. The
-/// host_* fields are only filled on traced runs.
+/// The simulated cost and trace of one node, merged after dispatch: the
+/// contiguous range of the run clock's events the node appended, and their
+/// sum. The host_* fields are only filled on traced runs.
 struct NodeRun {
   double ms = 0.0;
-  std::vector<sim::ClockEvent> events;
+  size_t events_begin = 0;
+  size_t events_end = 0;
   double host_start_us = 0.0;  // wall clock relative to the run epoch
   double host_end_us = 0.0;
-  uint64_t host_thread = 0;    // hashed std::thread::id
 };
 
 /// Per-worker reusable buffers for JIT dispatch: the kernel-argument array
@@ -107,7 +96,10 @@ class ExecutorImpl {
   ExecResult run() {
     g_.validate();
     validate_options();
-    if (opts_.trace != nullptr) run_epoch_ = std::chrono::steady_clock::now();
+    if (opts_.trace != nullptr) {
+      run_epoch_ = std::chrono::steady_clock::now();
+      host_thread_ = std::hash<std::thread::id>{}(std::this_thread::get_id());
+    }
     const size_t n_nodes = static_cast<size_t>(g_.num_nodes());
     values_.resize(n_nodes);
     node_runs_.resize(n_nodes);
@@ -195,7 +187,6 @@ class ExecutorImpl {
       case OpKind::kDense:
       case OpKind::kFlatten:
       case OpKind::kSoftmax:
-      case OpKind::kMultiboxDetection:
       case OpKind::kSsdDetection:
       case OpKind::kYoloDecode:
       case OpKind::kBoxNms:
@@ -221,7 +212,6 @@ class ExecutorImpl {
       const Node& n = g_.node(id);
       bool reads = false;
       switch (n.kind) {
-        case OpKind::kMultiboxDetection:
         case OpKind::kSsdDetection:
         case OpKind::kYoloDecode:
         case OpKind::kDetectionConcat:
@@ -260,19 +250,23 @@ class ExecutorImpl {
 
   // ----- dispatch ---------------------------------------------------------
 
+  /// Runs node `n` on the run's clock, tagged with the node's lane and
+  /// category. Its Rng is seeded from (run seed, node name), so a node's
+  /// synthetic data does not depend on which nodes ran before it. Its `ms`
+  /// sums its events in order from 0.0, the additions a clock of its own
+  /// would make.
   NodeRun exec_one(const Node& n) {
     const bool traced = opts_.trace != nullptr;
     NodeRun r;
-    if (traced) {
-      r.host_start_us = host_us_since_epoch();
-      r.host_thread =
-          std::hash<std::thread::id>{}(std::this_thread::get_id());
+    if (traced) r.host_start_us = host_us_since_epoch();
+    r.events_begin = clock_.events().size();
+    clock_.set_tags(lane_of(n), categorize(n.kind, n.place));
+    Rng rng(base_seed_ ^ hash_name(n.name));
+    exec_node(rng, n);
+    r.events_end = clock_.events().size();
+    for (size_t i = r.events_begin; i < r.events_end; ++i) {
+      r.ms += clock_.events()[i].ms;
     }
-    NodeCtx cx(platform_.gpu, base_seed_ ^ hash_name(n.name));
-    cx.clock.set_tags(lane_of(n), categorize(n.kind, n.place));
-    exec_node(cx, n);
-    r.ms = cx.clock.total_ms();
-    r.events = cx.clock.events();
     if (traced) r.host_end_us = host_us_since_epoch();
     return r;
   }
@@ -303,9 +297,6 @@ class ExecutorImpl {
     // here, from the same merge.
     double serial = 0.0;
     sim::LaneSchedule lanes;
-    size_t total_events = 0;
-    for (const NodeRun& r : node_runs_) total_events += r.events.size();
-    result.events.reserve(total_events);
     std::vector<double> finish(static_cast<size_t>(g_.num_nodes()), 0.0);
     for (const Node& n : g_.nodes()) {
       const NodeRun& r = node_runs_[static_cast<size_t>(n.id)];
@@ -318,11 +309,11 @@ class ExecutorImpl {
       const double end = lanes.schedule(lane_of(n), ready, r.ms);
       finish[static_cast<size_t>(n.id)] = end;
       if (opts_.trace != nullptr) record_span(n, r, end);
-      for (const sim::ClockEvent& e : r.events) {
-        result.counters.merge(e.counters);
-      }
-      result.events.insert(result.events.end(), r.events.begin(),
-                           r.events.end());
+    }
+    // The clock holds every node's events, in node order.
+    result.events = clock_.take_events();
+    for (const sim::ClockEvent& e : result.events) {
+      result.counters.merge(e.counters);
     }
     result.serial_ms = serial;
     record_metrics(result);
@@ -353,10 +344,11 @@ class ExecutorImpl {
     s.sim_end_ms = end;
     s.host_start_us = r.host_start_us;
     s.host_end_us = r.host_end_us;
-    s.host_thread = r.host_thread;
+    s.host_thread = host_thread_;
     s.shape = n.out_shape.str();
     s.layout_block = layout_block_[static_cast<size_t>(n.id)];
-    for (const sim::ClockEvent& e : r.events) {
+    for (size_t i = r.events_begin; i < r.events_end; ++i) {
+      const sim::ClockEvent& e = clock_.events()[i];
       s.bytes += e.bytes;
       s.counters.merge(e.counters);
     }
@@ -510,22 +502,22 @@ class ExecutorImpl {
   // ----- per-op execution -------------------------------------------------
 
   /// Charges one elementwise GPU kernel (or the CPU equivalent).
-  void charge_elementwise(NodeCtx& cx, const Node& n, int64_t numel,
-                          int inputs_per_elem, int64_t flops_per_elem) {
+  void charge_elementwise(const Node& n, int64_t numel, int inputs_per_elem,
+                          int64_t flops_per_elem) {
     if (n.place == Place::kCpu) {
-      cx.clock.charge_cpu(platform_.cpu, numel * flops_per_elem,
-                          4 * numel * (inputs_per_elem + 1), 0.9, n.name);
+      clock_.charge_cpu(platform_.cpu, numel * flops_per_elem,
+                        4 * numel * (inputs_per_elem + 1), 0.9, n.name);
     } else {
-      cx.clock.charge(platform_.gpu,
-                      ops::elementwise_kernel_cost(n.name, numel,
-                                                   inputs_per_elem,
-                                                   flops_per_elem));
+      clock_.charge(platform_.gpu,
+                    ops::elementwise_kernel_cost(n.name, numel,
+                                                 inputs_per_elem,
+                                                 flops_per_elem));
     }
   }
 
   /// Charges a layout transform on each input edge whose producer's layout
   /// block differs from the one this node requires.
-  void charge_layout_edges(NodeCtx& cx, const Node& n) {
+  void charge_layout_edges(const Node& n) {
     const int required = required_layout(n);
     if (required == 0) return;
     for (int in : n.inputs) {
@@ -534,15 +526,15 @@ class ExecutorImpl {
       // A layout transform is a GPU kernel whoever consumes its output:
       // charge it on the GPU lane explicitly so transforms feeding a
       // CPU-placed node don't book as CPU-lane time.
-      cx.clock.charge_on(sim::Lane::kGpu, platform_.gpu,
-                         ops::layout_transform_kernel_cost(
-                             "layout_transform_" + producer.name,
-                             producer.out_shape.numel()));
+      clock_.charge_on(sim::Lane::kGpu, platform_.gpu,
+                       ops::layout_transform_kernel_cost(
+                           "layout_transform_" + producer.name,
+                           producer.out_shape.numel()));
     }
   }
 
-  void exec_node(NodeCtx& cx, const Node& n) {
-    charge_layout_edges(cx, n);
+  void exec_node(Rng& rng, const Node& n) {
+    charge_layout_edges(n);
     switch (n.kind) {
       case OpKind::kInput: {
         if (!data_read_[static_cast<size_t>(n.id)]) {  // see compute_data_reads
@@ -552,7 +544,7 @@ class ExecutorImpl {
         Value& v = val(n.id);
         v.tensor = arena_acquire(n, n.out_shape, DType::kFloat32,
                                  /*zero_fill=*/false);
-        for (float& x : v.tensor.span_f32()) x = cx.rng.next_float(0.0f, 1.0f);
+        for (float& x : v.tensor.span_f32()) x = rng.next_float(0.0f, 1.0f);
         v.materialized = true;
         return;
       }
@@ -573,15 +565,12 @@ class ExecutorImpl {
         return;
       case OpKind::kDeviceCopy: {
         const int64_t bytes = n.out_shape.numel() * 4;
-        cx.clock.charge_copy(platform_.gpu, bytes, n.name);
+        clock_.charge_copy(platform_.gpu, bytes, n.name);
         set_aliased(n);
         return;
       }
-      case OpKind::kMultiboxDetection:
-        exec_multibox(cx, n);
-        return;
       case OpKind::kSsdDetection:
-        exec_ssd_detection(cx, n);
+        exec_ssd_detection(rng, n);
         return;
       case OpKind::kYoloDecode: {
         // A placeholder head is synthesized element by element, only where
@@ -591,19 +580,19 @@ class ExecutorImpl {
         if (val(n.inputs[0]).materialized) {
           out = ops::yolo_decode_reference(in_tensor(n), n.yolo);
         } else {
-          out = ops::yolo_decode_at(head, SyntheticYoloHead(cx.rng), n.yolo);
+          out = ops::yolo_decode_at(head, SyntheticYoloHead(rng), n.yolo);
         }
         if (n.place == Place::kCpu) {
-          cx.clock.charge_cpu(platform_.cpu, head.numel() * 8,
-                              head.numel() * 4, 0.9, n.name);
+          clock_.charge_cpu(platform_.cpu, head.numel() * 8,
+                            head.numel() * 4, 0.9, n.name);
         } else {
-          ops::charge_yolo_decode_gpu(cx.gpu, head, n.yolo);
+          ops::charge_yolo_decode_gpu(gpu_, head, n.yolo);
         }
         set_computed(n, std::move(out));
         return;
       }
       case OpKind::kDetectionConcat: {
-        charge_elementwise(cx, n, n.out_shape.numel(), 1, 0);
+        charge_elementwise(n, n.out_shape.numel(), 1, 0);
         Tensor out = arena_acquire(n, n.out_shape, DType::kFloat32,
                                    /*zero_fill=*/false);
         int64_t off = 0;
@@ -613,7 +602,7 @@ class ExecutorImpl {
           const Tensor& t =
               val(in).materialized
                   ? val(in).tensor
-                  : synthesize_nms_input(g_.node(in).out_shape, cx.rng);
+                  : synthesize_nms_input(g_.node(in).out_shape, rng);
           const int64_t ni = t.shape()[1];
           for (int64_t b = 0; b < bsz; ++b) {
             std::copy(t.data_f32() + b * ni * 6, t.data_f32() + (b + 1) * ni * 6,
@@ -630,8 +619,8 @@ class ExecutorImpl {
         Tensor in = val(n.inputs[0]).materialized
                         ? in_tensor(n)
                         : synthesize_nms_input(g_.node(n.inputs[0]).out_shape,
-                                               cx.rng);
-        set_computed(n, run_nms(cx, n, in, n.nms, n.name));
+                                               rng);
+        set_computed(n, run_nms(n, in, n.nms, n.name));
         return;
       }
       case OpKind::kRoiAlign: {
@@ -642,14 +631,14 @@ class ExecutorImpl {
             val(n.inputs[1]).materialized
                 ? in_tensor(n, 1)
                 : synthesize_rois(g_.node(n.inputs[1]).out_shape,
-                                  g_.node(n.inputs[0]).out_shape, cx.rng);
+                                  g_.node(n.inputs[0]).out_shape, rng);
         Tensor out;
         if (n.place == Place::kCpu) {
           out = ops::roi_align_reference(feats, rois, n.roi);
-          cx.clock.charge_cpu(platform_.cpu, n.out_shape.numel() * 40,
-                              feats.nbytes(), 0.9, n.name);
+          clock_.charge_cpu(platform_.cpu, n.out_shape.numel() * 40,
+                            feats.nbytes(), 0.9, n.name);
         } else {
-          out = ops::roi_align_gpu(cx.gpu, feats, rois, n.roi);
+          out = ops::roi_align_gpu(gpu_, feats, rois, n.roi);
         }
         set_computed(n, std::move(out));
         return;
@@ -659,7 +648,7 @@ class ExecutorImpl {
     }
     // A tensor op. With numerics on every value is materialized, so the
     // compute_numerics option alone decides whether it computes data.
-    charge(cx, n);
+    charge(n);
     if (!opts_.compute_numerics) {
       set_placeholder(n);
       return;
@@ -675,14 +664,14 @@ class ExecutorImpl {
 
   /// Books a tensor op's simulated cost. It depends on the node's kind,
   /// shapes, schedule and placement only, never on the data.
-  void charge(NodeCtx& cx, const Node& n) {
+  void charge(const Node& n) {
     const bool cpu = n.place == Place::kCpu;
     const int64_t numel = n.out_shape.numel();
     switch (n.kind) {
       case OpKind::kConv2d:
         if (cpu) {
-          cx.clock.charge_cpu(platform_.cpu, n.conv.flops(),
-                              n.conv.min_bytes(), 0.9, n.name);
+          clock_.charge_cpu(platform_.cpu, n.conv.flops(),
+                            n.conv.min_bytes(), 0.9, n.name);
         } else {
           // The schedule compiled onto the node; without one, the
           // hand-written template in NCHW (Table 5 "Before").
@@ -694,54 +683,53 @@ class ExecutorImpl {
                         platform_.gpu)
                   : ops::conv2d_kernel_cost(n.conv, n.schedule, platform_.gpu);
           if (n.fused_activation) k.flops += numel;
-          cx.clock.charge(platform_.gpu, k);
+          clock_.charge(platform_.gpu, k);
         }
         return;
       case OpKind::kConv2dTranspose:
         if (cpu) {
-          cx.clock.charge_cpu(platform_.cpu, n.deconv.flops(),
-                              n.weight.nbytes(), 0.9, n.name);
+          clock_.charge_cpu(platform_.cpu, n.deconv.flops(),
+                            n.weight.nbytes(), 0.9, n.name);
         } else {
-          cx.clock.charge(platform_.gpu,
-                          ops::conv2d_transpose_kernel_cost(n.deconv,
-                                                            platform_.gpu));
+          clock_.charge(platform_.gpu,
+                        ops::conv2d_transpose_kernel_cost(n.deconv,
+                                                          platform_.gpu));
         }
         return;
       case OpKind::kDense:
         if (cpu) {
-          cx.clock.charge_cpu(platform_.cpu, n.dense.flops(),
-                              n.weight.nbytes(), 0.9, n.name);
+          clock_.charge_cpu(platform_.cpu, n.dense.flops(),
+                            n.weight.nbytes(), 0.9, n.name);
         } else {
-          cx.clock.charge(platform_.gpu,
-                          ops::dense_kernel_cost(n.dense, platform_.gpu));
+          clock_.charge(platform_.gpu,
+                        ops::dense_kernel_cost(n.dense, platform_.gpu));
         }
         return;
       case OpKind::kPool2d:
         if (cpu) {
-          charge_elementwise(cx, n, numel, 1, n.pool.kernel * n.pool.kernel);
+          charge_elementwise(n, numel, 1, n.pool.kernel * n.pool.kernel);
         } else {
-          cx.clock.charge(platform_.gpu,
-                          ops::pool2d_kernel_cost(
-                              g_.node(n.inputs[0]).out_shape, n.pool));
+          clock_.charge(platform_.gpu,
+                        ops::pool2d_kernel_cost(
+                            g_.node(n.inputs[0]).out_shape, n.pool));
         }
         return;
       case OpKind::kScaleShift:
       case OpKind::kActivation:
-        charge_elementwise(cx, n, numel, 1, 2);
+        charge_elementwise(n, numel, 1, 2);
         return;
       case OpKind::kAdd:
-        charge_elementwise(cx, n, numel, 2, 1);
+        charge_elementwise(n, numel, 2, 1);
         return;
       case OpKind::kConcat:
       case OpKind::kUpsample2x:
-        charge_elementwise(cx, n, numel, 1, 0);
+        charge_elementwise(n, numel, 1, 0);
         return;
       case OpKind::kGlobalAvgPool:
-        charge_elementwise(cx, n, g_.node(n.inputs[0]).out_shape.numel(), 1,
-                           1);
+        charge_elementwise(n, g_.node(n.inputs[0]).out_shape.numel(), 1, 1);
         return;
       case OpKind::kSoftmax:
-        charge_elementwise(cx, n, numel, 1, 4);
+        charge_elementwise(n, numel, 1, 4);
         return;
       default:
         IGC_CHECK(false) << "unhandled op " << op_kind_name(n.kind);
@@ -836,8 +824,8 @@ class ExecutorImpl {
 
   /// NMS over decoded candidates on the placed device, with the matching
   /// cost. A CPU-placed run books its charge under `cpu_event`.
-  Tensor run_nms(NodeCtx& cx, const Node& n, const Tensor& in,
-                 const ops::NmsParams& nms, const std::string& cpu_event) {
+  Tensor run_nms(const Node& n, const Tensor& in, const ops::NmsParams& nms,
+                 const std::string& cpu_event) {
     if (n.place == Place::kCpu) {
       int64_t evals = 0;
       Tensor out = ops::box_nms_reference_counted(in, nms, &evals);
@@ -845,50 +833,23 @@ class ExecutorImpl {
       const int64_t sort_flops = static_cast<int64_t>(
           static_cast<double>(count) *
           std::log2(static_cast<double>(count) + 2.0) * 4.0);
-      cx.clock.charge_cpu(platform_.cpu, evals * 16 + sort_flops,
-                          in.nbytes() * 2, 0.3, cpu_event);
+      clock_.charge_cpu(platform_.cpu, evals * 16 + sort_flops,
+                        in.nbytes() * 2, 0.3, cpu_event);
       return out;
     }
     if (opts_.optimized_vision_ops) {
-      return ops::box_nms_gpu(cx.gpu, in, nms);
+      return ops::box_nms_gpu(gpu_, in, nms);
     }
-    return ops::box_nms_gpu_naive(cx.gpu, in, nms);
+    return ops::box_nms_gpu_naive(gpu_, in, nms);
   }
 
-  void exec_multibox(NodeCtx& cx, const Node& n) {
-    const bool have = in_materialized(n);
-    // The (B, C, N) class-probability tensor: dim 1 is the class axis
-    // (class 0 = background).
-    const Tensor cls =
-        have ? in_tensor(n, 0)
-             : synthesize_multibox_cls(g_.node(n.inputs[0]).out_shape, cx.rng);
-    const Tensor loc =
-        have ? in_tensor(n, 1)
-             : Tensor::random_normal(g_.node(n.inputs[1]).out_shape, cx.rng,
-                                     0.3f);
-    // Decode stage.
-    const Tensor decoded =
-        ops::multibox_decode_reference(cls, loc, n.anchors, n.mbox);
-    if (n.place == Place::kCpu) {
-      cx.clock.charge_cpu(platform_.cpu, cls.numel() * 4,
-                          cls.nbytes() + loc.nbytes(), 0.8,
-                          n.name + "_decode_cpu");
-    } else {
-      cx.gpu.launch_elementwise("multibox_decode",
-                                cls.shape()[0] * n.anchors.shape()[0],
-                                2 * cls.shape()[1] + 20,
-                                4 * (cls.shape()[1] + 8));
-    }
-    set_computed(n, run_nms(cx, n, decoded, n.mbox.nms, n.name + "_nms_cpu"));
-  }
-
-  void exec_ssd_detection(NodeCtx& cx, const Node& n) {
+  void exec_ssd_detection(Rng& rng, const Node& n) {
     const int64_t c1 = n.ssd_num_classes;
     const int64_t total = n.out_shape[1];
     const int64_t bsz = n.out_shape[0];
 
     // Charge the assembly + per-anchor softmax as one elementwise kernel.
-    charge_elementwise(cx, n, bsz * total * c1, 1, 6);
+    charge_elementwise(n, bsz * total * c1, 1, 6);
 
     // Decode stage, charged as a decode over (B, C, N) probabilities and
     // (B, N*4) deltas. Unmaterialized heads come from the node's Rng in
@@ -906,8 +867,8 @@ class ExecutorImpl {
       const Shape& cs = g_.node(cls_id).out_shape;
       std::optional<SyntheticSsdCls> stream;
       if (!cls.materialized) {
-        stream.emplace(cx.rng, cs, c1);
-        cx.rng.discard(stream->draws());
+        stream.emplace(rng, cs, c1);
+        rng.discard(stream->draws());
       }
       ops::SsdHeadView view;
       view.anchors_per_cell = cs[1] / c1;
@@ -917,9 +878,9 @@ class ExecutorImpl {
         const float* lp = loc.tensor.data_f32();
         view.loc = [lp](int64_t i) { return lp[i]; };
       } else {
-        view.loc = SyntheticNormal(cx.rng, 0.3f);
+        view.loc = SyntheticNormal(rng, 0.3f);
         const int64_t deltas = g_.node(loc_id).out_shape.numel();
-        cx.rng.discard(2 * static_cast<uint64_t>(deltas));
+        rng.discard(2 * static_cast<uint64_t>(deltas));
       }
       if (stream) {
         ops::ssd_decode_head(*stream, view, c1, anchor_off, n.anchors, n.mbox,
@@ -932,14 +893,14 @@ class ExecutorImpl {
     }
     IGC_CHECK_EQ(anchor_off, total);
     if (n.place == Place::kCpu) {
-      cx.clock.charge_cpu(platform_.cpu, bsz * c1 * total * 4,
-                          4 * bsz * c1 * total + 4 * bsz * total * 4, 0.8,
-                          n.name + "_decode_cpu");
+      clock_.charge_cpu(platform_.cpu, bsz * c1 * total * 4,
+                        4 * bsz * c1 * total + 4 * bsz * total * 4, 0.8,
+                        n.name + "_decode_cpu");
     } else {
-      cx.gpu.launch_elementwise("ssd_decode", bsz * total, 2 * c1 + 20,
-                                4 * (c1 + 8));
+      gpu_.launch_elementwise("ssd_decode", bsz * total, 2 * c1 + 20,
+                              4 * (c1 + 8));
     }
-    set_computed(n, run_nms(cx, n, decoded, n.mbox.nms, n.name + "_nms_cpu"));
+    set_computed(n, run_nms(n, decoded, n.mbox.nms, n.name + "_nms_cpu"));
   }
 
   const Graph& g_;
@@ -947,6 +908,10 @@ class ExecutorImpl {
   const ExecOptions& opts_;
   Rng& input_rng_;
   uint64_t base_seed_ = 0;
+
+  // The run's simulated clock and GPU: every node charges them in id order.
+  sim::SimClock clock_;
+  sim::GpuSimulator gpu_{platform_.gpu, clock_};
 
   std::vector<Value> values_;
   std::vector<bool> data_read_;
@@ -960,8 +925,10 @@ class ExecutorImpl {
   const MemoryPlan* plan_ = nullptr;
   BufferArena* arena_ = nullptr;
 
-  /// Host wall-clock reference for trace dispatch times (traced runs only).
+  /// Host wall-clock reference for trace dispatch times, and the hashed id
+  /// of the thread every node runs on (traced runs only).
   std::chrono::steady_clock::time_point run_epoch_{};
+  uint64_t host_thread_ = 0;
 };
 
 }  // namespace
@@ -977,7 +944,6 @@ sim::OpCategory categorize(OpKind kind, Place place) {
   switch (kind) {
     case OpKind::kConv2d:
       return sim::OpCategory::kConv;
-    case OpKind::kMultiboxDetection:
     case OpKind::kSsdDetection:
     case OpKind::kYoloDecode:
     case OpKind::kBoxNms:
@@ -1034,7 +1000,6 @@ std::optional<Tensor> reference_output(const Node& n,
     case OpKind::kInput:
     case OpKind::kConstant:
     case OpKind::kDeviceCopy:
-    case OpKind::kMultiboxDetection:
     case OpKind::kSsdDetection:
     case OpKind::kYoloDecode:
     case OpKind::kDetectionConcat:

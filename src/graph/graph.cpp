@@ -22,7 +22,6 @@ std::string_view op_kind_name(OpKind k) {
     case OpKind::kFlatten: return "flatten";
     case OpKind::kSoftmax: return "softmax";
     case OpKind::kUpsample2x: return "upsample2x";
-    case OpKind::kMultiboxDetection: return "multibox_detection";
     case OpKind::kSsdDetection: return "ssd_detection";
     case OpKind::kYoloDecode: return "yolo_decode";
     case OpKind::kDetectionConcat: return "detection_concat";
@@ -240,24 +239,6 @@ int Graph::add_upsample2x(const std::string& name, int input) {
   n.kind = OpKind::kUpsample2x;
   n.inputs = {input};
   n.out_shape = Shape{s[0], s[1], 2 * s[2], 2 * s[3]};
-  return push(std::move(n));
-}
-
-int Graph::add_multibox_detection(const std::string& name, int cls_prob,
-                                  int loc_pred, Tensor anchors,
-                                  ops::MultiboxDetectionParams p) {
-  const Shape& cs = node(cls_prob).out_shape;
-  IGC_CHECK_EQ(cs.ndim(), 3);
-  const int64_t num_anchors = cs[2];
-  IGC_CHECK(anchors.shape() == Shape({num_anchors, 4}));
-  IGC_CHECK(node(loc_pred).out_shape == Shape({cs[0], num_anchors * 4}));
-  Node n;
-  n.name = name;
-  n.kind = OpKind::kMultiboxDetection;
-  n.inputs = {cls_prob, loc_pred};
-  n.mbox = p;
-  n.anchors = std::move(anchors);
-  n.out_shape = Shape{cs[0], num_anchors, 6};
   return push(std::move(n));
 }
 

@@ -38,7 +38,6 @@ enum class OpKind {
   kFlatten,
   kSoftmax,
   kUpsample2x,
-  kMultiboxDetection,
   kSsdDetection,  // fused multi-scale softmax + decode + NMS (SSD head)
   kYoloDecode,
   kDetectionConcat,  // concat (B, N_i, 6) candidate lists along N
@@ -104,7 +103,7 @@ struct Node {
   Tensor bias;     // conv / dense (may be undefined)
   Tensor scale;    // scale-shift
   Tensor shift;    // scale-shift
-  Tensor anchors;  // multibox detection (pre-computed priors)
+  Tensor anchors;  // SSD detection (pre-computed priors)
   /// SSD fused head: number of classes including background.
   int64_t ssd_num_classes = 0;
 
@@ -146,9 +145,6 @@ class Graph {
   int add_flatten(const std::string& name, int input);
   int add_softmax(const std::string& name, int input);
   int add_upsample2x(const std::string& name, int input);
-  int add_multibox_detection(const std::string& name, int cls_prob,
-                             int loc_pred, Tensor anchors,
-                             ops::MultiboxDetectionParams p);
   /// Fused SSD detection head over multiple scales. `heads` holds
   /// (cls_conv, loc_conv) node pairs: cls shape (B, A*(C), H, W) with C
   /// classes including background, loc shape (B, A*4, H, W). `anchors` is
@@ -199,9 +195,8 @@ class Graph {
 
   /// Validates structural invariants: node ids match their list positions,
   /// every edge points to an earlier node (topological order), the output id
-  /// is in range, and constants carry a bound tensor. Passes are expected to
-  /// preserve all of these; PassPipelineOptions::validate_after_each checks
-  /// them after every stage.
+  /// is in range, and constants carry a bound tensor. Passes must preserve
+  /// all of these; PassPipeline::run() checks them after every pass.
   void validate() const;
 
   /// Human-readable table of the (live) nodes: id, op, name, output shape,

@@ -58,7 +58,7 @@ std::vector<PassRunStats> PassPipeline::run(Graph& g) const {
     reg.histogram(prefix + ".us")
         .observe(static_cast<int64_t>(st.wall_ms * 1000.0));
 
-    if (opts_.validate_after_each) g.validate();
+    g.validate();
     if (opts_.dump_graph_after.count(st.pass)) {
       std::ostream& os =
           opts_.dump_stream != nullptr ? *opts_.dump_stream : std::cerr;

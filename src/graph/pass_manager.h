@@ -8,8 +8,8 @@
 //   * wall time and nodes-rewritten counts go to `obs::MetricsRegistry`
 //     under `graph.pass.<name>.{runs,rewrites}` (counters) and
 //     `graph.pass.<name>.us` (histogram of per-run wall microseconds);
-//   * `PassPipelineOptions::validate_after_each` runs `Graph::validate()`
-//     after every pass (opt-in — compile-time cost only);
+//   * `Graph::validate()` runs after every pass, so a rewrite that breaks
+//     a structural invariant throws igc::Error at the pass that broke it;
 //   * `dump_graph_after` streams `Graph::summary()` after selected passes
 //     (the `igc-compile --dump-graph-after=<pass>` view).
 //
@@ -50,9 +50,6 @@ struct PassRunStats {
 };
 
 struct PassPipelineOptions {
-  /// Run Graph::validate() after every pass (throws igc::Error on a broken
-  /// rewrite). Opt-in: costs compile time only, never changes the graph.
-  bool validate_after_each = false;
   /// Stream Graph::summary() to `dump_stream` after each listed pass.
   std::set<std::string> dump_graph_after;
   /// Destination for graph dumps (std::cerr when null).
@@ -70,8 +67,9 @@ class PassPipeline {
   /// Names of the passes in run order.
   std::vector<std::string> pass_names() const;
 
-  /// Runs every pass in order over `g`, recording graph.pass.* metrics and
-  /// honoring the validate/dump options. Returns one record per pass.
+  /// Runs every pass in order over `g`, validating the graph after each one
+  /// (igc::Error on a broken invariant), recording graph.pass.* metrics and
+  /// honoring the dump options. Returns one record per pass.
   std::vector<PassRunStats> run(Graph& g) const;
 
  private:

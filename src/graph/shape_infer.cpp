@@ -139,17 +139,6 @@ Graph rebind_shapes(const Graph& g, int64_t batch, int64_t hw) {
         n.out_shape = Shape{s[0], s[1], 2 * s[2], 2 * s[3]};
         break;
       }
-      case OpKind::kMultiboxDetection: {
-        const Shape& cs = in_shape(out, n, 0);
-        const int64_t num_anchors = cs[2];
-        IGC_CHECK(n.anchors.shape() == Shape({num_anchors, 4}))
-            << n.name << ": input resolution changes the anchor grid — "
-            << "detection graphs declare dynamic batch only";
-        IGC_CHECK(in_shape(out, n, 1) == Shape({cs[0], num_anchors * 4}))
-            << n.name << ": loc prediction shape mismatch after rebinding";
-        n.out_shape = Shape{cs[0], num_anchors, 6};
-        break;
-      }
       case OpKind::kSsdDetection: {
         int64_t total_anchors = 0;
         int64_t b = -1;

@@ -15,24 +15,6 @@ SyntheticSsdCls::SyntheticSsdCls(const Rng& rng, const Shape& shape,
   plane_ = shape[2] * shape[3];
 }
 
-Tensor synthesize_multibox_cls(const Shape& shape, Rng& rng) {
-  Tensor t(shape, DType::kFloat32);
-  const int64_t nc = shape[1];
-  const int64_t na = shape[2];
-  for (int64_t b = 0; b < shape[0]; ++b) {
-    for (int64_t c = 0; c < nc; ++c) {
-      for (int64_t i = 0; i < na; ++i) {
-        float v = c == 0 ? 0.95f : 0.002f;
-        if (c != 0 && rng.next_double() < 0.002) {
-          v = rng.next_float(0.2f, 0.9f);
-        }
-        t.data_f32()[(b * nc + c) * na + i] = v;
-      }
-    }
-  }
-  return t;
-}
-
 Tensor synthesize_nms_input(const Shape& shape, Rng& rng) {
   Tensor t = Tensor::full(shape, -1.0f);
   const int64_t n = shape[0] * shape[1];

@@ -26,10 +26,6 @@
 
 namespace igc::graph {
 
-/// MultiboxDetection class probabilities, (B, C, N) with class 0 =
-/// background.
-Tensor synthesize_multibox_cls(const Shape& shape, Rng& rng);
-
 /// box_nms candidates, (B, N, 6) in box_nms layout, ~2% of rows valid.
 Tensor synthesize_nms_input(const Shape& shape, Rng& rng);
 

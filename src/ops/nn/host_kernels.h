@@ -1,7 +1,7 @@
 // Host-schedule lowerings for the JIT backend: the same unified IR as the
-// device templates (conv2d_build_ir, ir_kernels.h), but scheduled for a host
-// CPU compiled through codegen::emit_cpp — block axes become the dispatch
-// grid, everything else plain loops the host compiler vectorizes.
+// device conv template (conv2d_build_ir), but scheduled for a host CPU
+// compiled through codegen::emit_cpp — block axes become the dispatch grid,
+// everything else plain loops the host compiler vectorizes.
 //
 // Bit-identity contract: each builder reproduces the corresponding reference
 // operator's floating-point evaluation exactly — same accumulation order per

@@ -71,9 +71,9 @@ struct ClockEvent {
 class SimClock {
  public:
   /// Tags stamped onto subsequent events: the lane/category of the node
-  /// whose charges this clock is recording. Per-node clocks set them once
-  /// before dispatching the node, so sub-charges (layout transforms, the
-  /// GPU simulator's launches) inherit the node's attribution.
+  /// whose charges this clock is recording. The executor sets them before
+  /// dispatching each node, so sub-charges (layout transforms, the GPU
+  /// simulator's launches) inherit the node's attribution.
   void set_tags(Lane lane, OpCategory category) {
     lane_ = lane;
     category_ = category;
@@ -132,6 +132,13 @@ class SimClock {
 
   double total_ms() const { return total_ms_; }
   const std::vector<ClockEvent>& events() const { return events_; }
+  /// Moves the recorded events out, leaving the clock reset.
+  std::vector<ClockEvent> take_events() {
+    total_ms_ = 0.0;
+    std::vector<ClockEvent> out;
+    out.swap(events_);
+    return out;
+  }
   void reset() {
     total_ms_ = 0.0;
     events_.clear();

@@ -11,6 +11,14 @@
 namespace igc::tune {
 namespace {
 
+/// Every search draws from this seed, so a (space, measure, options) triple
+/// always tunes to the same schedule.
+constexpr uint64_t kSeed = 0x5eedf00d;
+/// Model-guided: configs measured per round, and the candidate pool the
+/// cost model ranks per round.
+constexpr int kBatchSize = 16;
+constexpr int kPoolSize = 256;
+
 obs::Counter& trials_counter() {
   static auto& c = obs::MetricsRegistry::global().counter("tune.trials");
   return c;
@@ -103,12 +111,11 @@ void simulated_annealing(const ConfigSpace& space, Recorder& rec, Rng& rng) {
   }
 }
 
-void model_guided(const ConfigSpace& space, Recorder& rec, Rng& rng,
-                  const TuneOptions& opts) {
+void model_guided(const ConfigSpace& space, Recorder& rec, Rng& rng) {
   CostModel model;
   std::set<std::string> seen;
   // Warm-up round: random batch.
-  for (int i = 0; i < opts.batch_size && !rec.exhausted(); ++i) {
+  for (int i = 0; i < kBatchSize && !rec.exhausted(); ++i) {
     const auto cfg = space.random(rng);
     if (seen.insert(cfg.str()).second) rec.measure(cfg);
   }
@@ -117,7 +124,7 @@ void model_guided(const ConfigSpace& space, Recorder& rec, Rng& rng,
     model.fit(rec.xs(), rec.ys());
     // Rank a pool of unseen random candidates by predicted latency.
     std::vector<std::pair<double, ScheduleConfig>> pool;
-    for (int i = 0; i < opts.pool_size; ++i) {
+    for (int i = 0; i < kPoolSize; ++i) {
       auto cfg = space.random(rng);
       if (seen.count(cfg.str())) continue;
       pool.emplace_back(model.predict(config_features(cfg)), std::move(cfg));
@@ -127,7 +134,7 @@ void model_guided(const ConfigSpace& space, Recorder& rec, Rng& rng,
     // Measure the top batch (epsilon-greedy: one slot stays random).
     int measured = 0;
     for (const auto& [pred, cfg] : pool) {
-      if (rec.exhausted() || measured >= opts.batch_size - 1) break;
+      if (rec.exhausted() || measured >= kBatchSize - 1) break;
       if (!seen.insert(cfg.str()).second) continue;
       rec.measure(cfg, pred);
       ++measured;
@@ -154,7 +161,7 @@ std::string_view strategy_name(SearchStrategy s) {
 TuneResult tune(const ConfigSpace& space, const MeasureFn& measure,
                 const TuneOptions& opts) {
   IGC_CHECK_GT(opts.n_trials, 0);
-  Rng rng(opts.seed);
+  Rng rng(kSeed);
   Recorder rec(measure, opts);
 
   // Always measure the untuned default first: it anchors the "Before"
@@ -170,7 +177,7 @@ TuneResult tune(const ConfigSpace& space, const MeasureFn& measure,
       simulated_annealing(space, rec, rng);
       break;
     case SearchStrategy::kModelGuided:
-      model_guided(space, rec, rng, opts);
+      model_guided(space, rec, rng);
       break;
   }
 

@@ -5,7 +5,9 @@
 // strategies and returns the best schedule found. The model-guided strategy
 // reproduces AutoTVM's loop: train a statistical cost model on the measured
 // configs, rank a large candidate pool with it, measure the most promising
-// batch, repeat.
+// batch, repeat. The loop's shape is fixed (16 configs measured per round,
+// a pool of 256 candidates ranked per round, one search seed), so a search
+// depends only on its space, its measure and TuneOptions.
 #pragma once
 
 #include <functional>
@@ -36,11 +38,6 @@ struct TuneOptions {
   SearchStrategy strategy = SearchStrategy::kModelGuided;
   /// Total measurement budget.
   int n_trials = 128;
-  /// Model-guided: configs measured per round.
-  int batch_size = 16;
-  /// Model-guided: candidate pool ranked by the cost model per round.
-  int pool_size = 256;
-  uint64_t seed = 0x5eedf00d;
   /// Flight recorder: when set, every measured trial is appended (observer
   /// hook — never changes the search). Must outlive the tune() call.
   TuneJournal* journal = nullptr;

@@ -54,7 +54,7 @@ __kernel void axpy(__global const float* restrict x, __global const float* restr
 
 constexpr const char* kGoldenCuda =
     R"(// generated by igc from the unified IR
-extern "C" __global__ void axpy(const float* restrict x, const float* restrict y, float* restrict out) {
+extern "C" __global__ void axpy(const float* __restrict__ x, const float* __restrict__ y, float* __restrict__ out) {
   const int g = (int)blockIdx.x;
   // vectorize: compiler maps this loop onto SIMD lanes
   for (int v = 0; v < 4; ++v) {
@@ -73,6 +73,26 @@ TEST(CodegenGolden, OpenClExactText) {
 
 TEST(CodegenGolden, CudaExactText) {
   EXPECT_EQ(codegen::emit_cuda(make_axpy_plus_guard()), kGoldenCuda);
+}
+
+/// A kernel storing 1/3 and 2^24: constants the stream default of 6
+/// significant digits would print as other floats (0.333333f, 1.67772e+07f).
+LoweredKernel make_constant_stores() {
+  LoweredKernel k;
+  k.name = "consts";
+  k.params = {{"out", DType::kFloat32, 2, true}};
+  k.body = {make_store("out", imm(0), fimm(1.0f / 3.0f)),
+            make_store("out", imm(1), fimm(16777216.0f))};
+  return k;
+}
+
+TEST(CodegenGolden, FloatLiteralsRoundTripInEveryDialect) {
+  const LoweredKernel k = make_constant_stores();
+  for (const std::string& src :
+       {codegen::emit_opencl(k), codegen::emit_cuda(k), codegen::emit_cpp(k)}) {
+    EXPECT_NE(src.find("= 0.333333343f;"), std::string::npos) << src;
+    EXPECT_NE(src.find("= 16777216.0f;"), std::string::npos) << src;
+  }
 }
 
 TEST(CodegenGolden, SubgroupPragmaPrependsOnly) {

@@ -1,12 +1,14 @@
-// Tests for the pass manager: named pipelines with per-pass metrics,
-// idempotence of every registered pass, constant pre-computing, dead-node
-// compaction (bit-identical outputs, fully-planned memory, mandatory before
-// planning), compiling with any single pass disabled, and fused activations
-// computing what the unfused graph computes.
+// Tests for the pass manager: named pipelines with per-pass metrics and
+// validation after every pass, idempotence of every registered pass,
+// constant pre-computing, dead-node compaction (bit-identical outputs,
+// fully-planned memory, mandatory before planning), compiling with any
+// single pass disabled, and fused activations computing what the unfused
+// graph computes.
 #include <gtest/gtest.h>
 
 #include <cstring>
 #include <functional>
+#include <memory>
 #include <sstream>
 #include <thread>
 #include <vector>
@@ -179,7 +181,6 @@ TEST(PassManager, ValidateAfterEachAndDumpHooks) {
   models::Model m = models::build_squeezenet(rng, 64, 1, 10);
   std::ostringstream dump;
   graph::PassPipelineOptions popts;
-  popts.validate_after_each = true;
   popts.dump_graph_after = {"dce"};
   popts.dump_stream = &dump;
   const graph::PassPipeline pipe =
@@ -187,6 +188,25 @@ TEST(PassManager, ValidateAfterEachAndDumpHooks) {
   pipe.run(m.graph);
   EXPECT_NE(dump.str().find("graph after pass 'dce'"), std::string::npos);
   EXPECT_NE(dump.str().find("conv"), std::string::npos);
+}
+
+/// A broken rewrite: wires the first node to the last, an edge that breaks
+/// topological order.
+class BackEdgePass : public graph::Pass {
+ public:
+  std::string_view name() const override { return "back_edge"; }
+  int run(Graph& g) override {
+    g.node(0).inputs.push_back(g.num_nodes() - 1);
+    return 1;
+  }
+};
+
+TEST(PassManager, EveryPipelineValidatesAfterEachPass) {
+  Rng rng(2);
+  models::Model m = models::build_squeezenet(rng, 64, 1, 10);
+  graph::PassPipeline pipe = graph::build_pipeline({}, {});
+  pipe.add(std::make_unique<BackEdgePass>());
+  EXPECT_THROW(pipe.run(m.graph), Error);
 }
 
 TEST(Passes, ConstantPrecomputeFoldsSubgraphBitIdentical) {

@@ -1,7 +1,7 @@
 // bench_diff: perf-regression gate over two BENCH_*.json files.
 //
-//   bench_diff <baseline.json> <candidate.json> \
-//       [--fail-on-regress metric:pct% ...]
+//   bench_diff <baseline.json> <candidate.json>
+//              [--fail-on-regress metric:pct% ...]
 //
 // Rows are matched on identity (bench/schema/platform/model/mode/config/
 // backend/numerics); each watched metric that moves past its threshold in

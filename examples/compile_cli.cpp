@@ -107,7 +107,9 @@ void usage(const char* argv0, std::FILE* out) {
       "                          ~/.cache/igc-kernels)\n"
       "  --trials N              tuning trials per conv workload\n"
       "  --untuned               skip tensor-level tuning\n"
-      "  --fallback-nms          force vision block onto the CPU\n"
+      "  --fallback-nms          place the vision block (box_nms,\n"
+      "                          ssd_detection, yolo_decode,\n"
+      "                          detection_concat) on the CPU\n"
       "  --passes a,b,c          explicit pass pipeline (run order); must\n"
       "                          include dce or place, which compact the\n"
       "                          graph\n"
@@ -293,8 +295,9 @@ int main(int argc, char** argv) {
         }
       }
     } else if (!std::strcmp(argv[i], "--fallback-nms")) {
-      opts.cpu_fallback_ops = {graph::OpKind::kBoxNms,
-                               graph::OpKind::kSsdDetection};
+      opts.cpu_fallback_ops = {
+          graph::OpKind::kBoxNms, graph::OpKind::kSsdDetection,
+          graph::OpKind::kYoloDecode, graph::OpKind::kDetectionConcat};
     } else if (!std::strcmp(argv[i], "--dump-graph")) {
       dump_graph = true;
     } else if (!std::strcmp(argv[i], "--dump-kernels")) {

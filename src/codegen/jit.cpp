@@ -13,6 +13,7 @@
 #include <system_error>
 
 #include "core/error.h"
+#include "core/hash.h"
 #include "obs/metrics.h"
 
 namespace igc::codegen::jit {
@@ -22,28 +23,6 @@ namespace fs = std::filesystem;
 
 obs::Counter& counter(const char* name) {
   return obs::MetricsRegistry::global().counter(name);
-}
-
-/// 64-bit FNV-1a over a sequence of fields with a separator byte between
-/// them, so ("ab","c") and ("a","bc") hash differently.
-uint64_t fnv1a(std::initializer_list<std::string_view> fields) {
-  uint64_t h = 1469598103934665603ull;
-  auto mix = [&h](unsigned char c) {
-    h ^= c;
-    h *= 1099511628211ull;
-  };
-  for (std::string_view f : fields) {
-    for (unsigned char c : f) mix(c);
-    mix(0);
-  }
-  return h;
-}
-
-std::string hex64(uint64_t v) {
-  char buf[17];
-  std::snprintf(buf, sizeof(buf), "%016llx",
-                static_cast<unsigned long long>(v));
-  return buf;
 }
 
 /// Runs `cmd` via the shell, returns exit status (-1 on launch failure).
@@ -229,7 +208,7 @@ std::shared_ptr<Module> KernelCache::load_or_compile(const std::string& source,
     if (err != nullptr) *err = "no host C++ toolchain ($CXX or c++) found";
     return nullptr;
   }
-  const std::string key = hex64(fnv1a(
+  const std::string key = hex64(fnv1a_fields(
       {std::to_string(version_), tc.compiler_id(), tc.flags(), source}));
 
   std::shared_ptr<Entry> entry;
@@ -298,7 +277,9 @@ std::shared_ptr<Module> KernelCache::disk_lookup(const std::string& key,
   if (next_value("source_bytes") != std::to_string(source.size())) {
     return nullptr;
   }
-  if (next_value("source_hash") != hex64(fnv1a({source}))) return nullptr;
+  if (next_value("source_hash") != hex64(fnv1a_fields({source}))) {
+    return nullptr;
+  }
   const std::string so_bytes = next_value("so_bytes");
   if (so_bytes.empty()) return nullptr;
   const auto actual = fs::file_size(so_path, ec);
@@ -356,7 +337,7 @@ std::shared_ptr<Module> KernelCache::compile_and_insert(
       << "compiler " << Toolchain::host().compiler_id() << "\n"
       << "flags " << Toolchain::host().flags() << "\n"
       << "source_bytes " << source.size() << "\n"
-      << "source_hash " << hex64(fnv1a({source})) << "\n"
+      << "source_hash " << hex64(fnv1a_fields({source})) << "\n"
       << "so_bytes " << so_bytes << "\n";
   const fs::path man_tmp = man_path.string() + temp_suffix();
   if (!write_file(man_tmp, man.str())) {

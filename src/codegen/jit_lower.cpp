@@ -1,14 +1,13 @@
 #include "codegen/jit_lower.h"
 
-#include <cstdio>
 #include <functional>
 #include <map>
 #include <sstream>
-#include <string_view>
 #include <vector>
 
 #include "codegen/codegen.h"
 #include "core/error.h"
+#include "core/hash.h"
 #include "obs/metrics.h"
 #include "ops/nn/host_kernels.h"
 
@@ -17,22 +16,6 @@ namespace {
 
 using graph::Node;
 using graph::OpKind;
-
-uint64_t fnv1a(std::string_view s) {
-  uint64_t h = 1469598103934665603ull;
-  for (unsigned char c : s) {
-    h ^= c;
-    h *= 1099511628211ull;
-  }
-  return h;
-}
-
-std::string hex64(uint64_t v) {
-  char buf[17];
-  std::snprintf(buf, sizeof(buf), "%016llx",
-                static_cast<unsigned long long>(v));
-  return buf;
-}
 
 /// One deduplicated kernel being assembled into the module.
 struct PendingKernel {

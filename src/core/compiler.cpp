@@ -164,14 +164,6 @@ RunResult CompiledModel::run(uint64_t input_seed, bool compute_numerics) const {
   return run(opts);
 }
 
-RunResult CompiledModel::run(int64_t batch, int64_t input_hw,
-                             const RunOptions& opts) const {
-  RunOptions o = opts;
-  o.batch = batch;
-  o.input_hw = input_hw;
-  return run(o);
-}
-
 graph::MemoryPlan CompiledModel::memory_plan() const { return *plan_; }
 
 const CompiledModel::ShapeVariant* CompiledModel::resolve_variant(

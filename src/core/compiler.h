@@ -168,7 +168,10 @@ struct RunOptions {
   /// layout blocks and the memory plan's buffer assignment — zero
   /// replanning, zero retuning — re-deriving only shapes, buffer sizes, and
   /// the looked-up schedules of its rebound convs (cached per binding). With
-  /// a serving context, the binding must match the context's.
+  /// a serving context, the binding must match the context's. Outputs are
+  /// bit-identical to a static compile at that shape; simulated latencies
+  /// are too, but only for untuned models: a tuned model's rebound convs
+  /// look their workloads up in a TuneDb tuned at the seed shape.
   int64_t batch = 0;
   int64_t input_hw = 0;
 };
@@ -184,13 +187,6 @@ class CompiledModel {
   /// synthetic detection data only (fast for full-size models).
   RunResult run(uint64_t input_seed = 0xbe5c,
                 bool compute_numerics = true) const;
-
-  /// Runs one inference at a dynamic shape binding: input batch `batch`
-  /// (0 = seed) at resolution `input_hw` x `input_hw` (0 = seed), within the
-  /// model's declared ShapeSpec bounds. Outputs and simulated latencies are
-  /// bit-identical to a model statically compiled at that shape; no
-  /// replanning or retuning happens (see RunOptions::batch).
-  RunResult run(int64_t batch, int64_t input_hw, const RunOptions& opts) const;
 
   const std::string& model_name() const { return name_; }
   const sim::Platform& platform() const { return *platform_; }

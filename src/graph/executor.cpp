@@ -10,6 +10,7 @@
 
 #include "codegen/jit.h"
 #include "core/error.h"
+#include "core/hash.h"
 #include "core/thread_pool.h"
 #include "graph/synthetic.h"
 #include "obs/metrics.h"
@@ -73,18 +74,6 @@ void zero_pad_nchw(const float* src, float* dst, int64_t n, int64_t c,
       std::memcpy(d + y * wp, s + y * w, static_cast<size_t>(w) * sizeof(float));
     }
   }
-}
-
-/// FNV-1a over the node's stable name (node ids are renumbered by passes;
-/// names survive them, so differently-placed or differently-optimized builds
-/// of one model synthesize identical per-node data).
-uint64_t hash_name(const std::string& name) {
-  uint64_t h = 1469598103934665603ull;
-  for (unsigned char c : name) {
-    h ^= c;
-    h *= 1099511628211ull;
-  }
-  return h;
 }
 
 class ExecutorImpl {
@@ -261,7 +250,10 @@ class ExecutorImpl {
     if (traced) r.host_start_us = host_us_since_epoch();
     r.events_begin = clock_.events().size();
     clock_.set_tags(lane_of(n), categorize(n.kind, n.place));
-    Rng rng(base_seed_ ^ hash_name(n.name));
+    // Seeded from the node's stable name, not its id: passes renumber ids,
+    // names survive them, so differently-placed or differently-optimized
+    // builds of one model synthesize identical per-node data.
+    Rng rng(base_seed_ ^ fnv1a(n.name));
     exec_node(rng, n);
     r.events_end = clock_.events().size();
     for (size_t i = r.events_begin; i < r.events_end; ++i) {

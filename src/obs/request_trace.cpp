@@ -301,7 +301,9 @@ std::string chrome_request_trace_json(
   // Track layout: one process for the serving pipeline; tid 0 = queue,
   // tid 1 = batcher, tid 2+w = worker w. Each request renders as duration
   // spans on the tracks it crossed, connected by a flow (id = trace id) so
-  // the UI draws the request's arrow from admission to completion.
+  // the UI draws the request's arrow from admission to completion. A batch
+  // forms when a worker is free to run it, so a "batched" span is the wait
+  // behind the earlier members of the request's own batch.
   constexpr int kPid = 3;  // pids 1/2 belong to the executor trace
   constexpr int kQueueTid = 0;
   constexpr int kBatcherTid = 1;

@@ -3,7 +3,7 @@
 //
 // Event model: every traced request carries ONE RequestTimeline through the
 // pipeline. The timeline rides on the request object itself, which is owned
-// by exactly one stage at a time (submit path -> queue -> batch -> worker),
+// by exactly one stage at a time (submit path -> queue -> worker),
 // so appending events takes no lock and perturbs nothing the hot path
 // shares — the same "record privately, merge deterministically post-run"
 // pattern as the executor's TraceRecorder (obs/trace.h). Only the terminal

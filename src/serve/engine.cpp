@@ -25,8 +25,6 @@ std::string EngineHealth::json() const {
   out += healthy() ? "true" : "false";
   out += ", \"serving\": ";
   out += serving ? "true" : "false";
-  out += ", \"scheduler_alive\": ";
-  out += scheduler_alive ? "true" : "false";
   out += ", \"queue_open\": ";
   out += queue_open ? "true" : "false";
   out += ", \"workers\": " + std::to_string(workers) + "}";
@@ -115,12 +113,10 @@ void ServingEngine::start() {
   }
   started_ = true;
   running_.store(true, std::memory_order_release);
-  // Liveness flags are raised before the threads spawn (and lowered by the
-  // threads themselves on exit), so a health probe racing start() never
-  // sees a healthy engine with a "dead" scheduler.
-  scheduler_alive_.store(true, std::memory_order_release);
+  // The liveness count is raised before the threads spawn (and lowered by
+  // the workers themselves on exit), so a health probe racing start() never
+  // sees a serving engine with no workers.
   workers_alive_.store(opts_.num_workers, std::memory_order_release);
-  scheduler_ = std::thread([this] { scheduler_main(); });
   workers_.reserve(static_cast<size_t>(opts_.num_workers));
   for (int w = 0; w < opts_.num_workers; ++w) {
     workers_.emplace_back([this, w] { worker_main(w); });
@@ -229,8 +225,17 @@ SubmitResult ServingEngine::submit(int tenant, uint64_t input_seed) {
   return out;
 }
 
-void ServingEngine::scheduler_main() {
+void ServingEngine::worker_main(int worker_id) {
+  // One private ServingContext per tenant, built lazily on this worker's
+  // first batch of that tenant: the plan-backed page table is reused across
+  // every subsequent request the worker serves for the tenant, while the
+  // physical pages behind it are borrowed from the engine-wide pool per
+  // request — steady-state serving performs no heap allocations for node
+  // outputs and shares pages across the whole worker pool.
+  std::vector<std::unique_ptr<ServingContext>> contexts(tenants_.size());
   for (;;) {
+    // The batch forms only now that this worker is free to run it, so its
+    // requests count against queue depth (and admission control) until then.
     std::optional<Batch> b = queue_->pop_batch(opts_.clock_ms);
     if (!b.has_value()) break;  // closed and drained
     const double now = opts_.clock_ms();
@@ -238,11 +243,11 @@ void ServingEngine::scheduler_main() {
     b->id = batches_formed_.fetch_add(1, std::memory_order_relaxed);
     for (RequestPtr& r : b->requests) {
       // schedule_ms (and queue-wait) are stamped here, at batch formation;
-      // start_ms follows once a worker picks the batch up.
+      // start_ms follows as the worker reaches each request of the batch.
       m_queue_wait_->observe(now - r->enqueue_ms);
       if (r->timeline != nullptr) {
-        // The scheduler owns the batch (and its requests) here, so the
-        // append is unsynchronized by design.
+        // The worker owns the batch (and its requests) here, so the append
+        // is unsynchronized by design.
         obs::RequestEvent e;
         e.kind = obs::RequestEventKind::kBatchFormed;
         e.t_ms = now;
@@ -256,46 +261,9 @@ void ServingEngine::scheduler_main() {
     m_batches_->add();
     m_batch_size_->observe(static_cast<double>(b->size()));
     m_queue_depth_->set(depth_after);
-
-    std::unique_lock<std::mutex> lk(batch_mu_);
-    batch_cv_.wait(lk, [this] {
-      return static_cast<int>(batches_.size()) < opts_.num_workers;
-    });
-    batches_.push_back(std::move(*b));
-    batch_cv_.notify_all();
+    execute_batch(std::move(*b), contexts, worker_id);
   }
-  std::lock_guard<std::mutex> lk(batch_mu_);
-  scheduler_done_ = true;
-  scheduler_alive_.store(false, std::memory_order_release);
-  batch_cv_.notify_all();
-}
-
-void ServingEngine::worker_main(int worker_id) {
-  // One private ServingContext per tenant, built lazily on this worker's
-  // first batch of that tenant: the plan-backed page table is reused across
-  // every subsequent request the worker serves for the tenant, while the
-  // physical pages behind it are borrowed from the engine-wide pool per
-  // request — steady-state serving performs no heap allocations for node
-  // outputs and shares pages across the whole worker pool.
-  std::vector<std::unique_ptr<ServingContext>> contexts(tenants_.size());
-  for (;;) {
-    Batch batch;
-    {
-      std::unique_lock<std::mutex> lk(batch_mu_);
-      batch_cv_.wait(lk, [this] {
-        return !batches_.empty() || scheduler_done_;
-      });
-      if (batches_.empty()) {
-        // Scheduler done and queue drained: this worker is exiting.
-        workers_alive_.fetch_sub(1, std::memory_order_acq_rel);
-        return;
-      }
-      batch = std::move(batches_.front());
-      batches_.pop_front();
-      batch_cv_.notify_all();  // wake the scheduler's bounded-queue wait
-    }
-    execute_batch(std::move(batch), contexts, worker_id);
-  }
+  workers_alive_.fetch_sub(1, std::memory_order_acq_rel);
 }
 
 void ServingEngine::execute_batch(
@@ -410,8 +378,7 @@ void ServingEngine::stop() {
   if (!started_ || stopped_) return;
   stopped_ = true;
   running_.store(false, std::memory_order_release);
-  queue_->close();  // scheduler drains remaining lanes, then signals done
-  scheduler_.join();
+  queue_->close();  // workers drain the remaining lanes, then exit
   for (std::thread& w : workers_) w.join();
   workers_.clear();
   m_queue_depth_->set(0);
@@ -420,7 +387,6 @@ void ServingEngine::stop() {
 EngineHealth ServingEngine::health() const {
   EngineHealth h;
   h.serving = running_.load(std::memory_order_acquire);
-  h.scheduler_alive = scheduler_alive_.load(std::memory_order_acquire);
   h.workers = workers_alive_.load(std::memory_order_acquire);
   {
     // queue_ is created under lifecycle_mu_ in start(); take it so a probe

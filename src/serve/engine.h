@@ -1,16 +1,18 @@
 // ServingEngine: the multi-tenant serving layer above CompiledModel::run().
 //
-// Mirrors the engine / scheduler / worker split of continuous-batching
-// inference servers (vLLM-style), scaled to this repo's executor:
+// Mirrors the engine / worker split of continuous-batching inference
+// servers (vLLM-style), scaled to this repo's executor:
 //
 //   client -> submit() ----[admission control]----> RequestQueue (per-tenant
-//   lanes, bounded, shed watermark) --[scheduler thread: dynamic batches,
-//   max-batch-size / max-wait-ms triggers, round-robin fairness]--> batch
-//   queue (bounded by worker count) --> worker threads, each holding one
-//   private ServingContext (memory plan + PagedArena page table) per tenant,
-//   so concurrent workers serve the same CompiledModel without serializing
-//   on the model-wide arena mutex — JIT dispatch tables and pre-resolved
-//   conv schedules are shared read-only across the pool.
+//   lanes, bounded, shed watermark) --[pop_batch(): dynamic batches,
+//   max-batch-size / max-wait-ms triggers, round-robin fairness]--> worker
+//   threads. Each worker forms its own next batch when it is free to run
+//   it, so a request waits in the queue (where admission control counts it)
+//   until a worker takes it. Each worker holds one private ServingContext
+//   (memory plan + PagedArena page table) per tenant, so concurrent workers
+//   serve the same CompiledModel without serializing on the model-wide
+//   arena mutex — JIT dispatch tables and pre-resolved conv schedules are
+//   shared read-only across the pool.
 //
 // Memory: every worker context draws its pages from ONE engine-wide
 // PagePool (EngineOptions::page_pool, created at start() when absent).
@@ -34,15 +36,13 @@
 // any interleaving (tested, TSan-clean).
 //
 // Lifecycle: add_tenant() before start(); submit() any time (refused with
-// kRejectedShutdown unless running); stop() closes admission, drains every
-// queued request through the workers, and joins all threads — in-flight
-// requests complete, their futures resolve. The destructor stops.
+// kRejectedShutdown unless running); stop() closes admission, lets the
+// workers drain every queued request, and joins them — in-flight requests
+// complete, their futures resolve. The destructor stops.
 #pragma once
 
 #include <atomic>
-#include <condition_variable>
 #include <cstdint>
-#include <deque>
 #include <functional>
 #include <memory>
 #include <mutex>
@@ -128,17 +128,13 @@ struct EngineStats {
 };
 
 /// Liveness snapshot for /healthz: distinguishes "process up" from "engine
-/// serving". Healthy means serving && scheduler_alive && queue_open &&
-/// workers > 0.
+/// serving". Healthy means serving && queue_open && workers > 0.
 struct EngineHealth {
-  bool serving = false;          ///< admission open (start()ed, not stopped)
-  bool scheduler_alive = false;  ///< scheduler thread still in its loop
-  bool queue_open = false;       ///< request queue exists and is not closed
-  int workers = 0;               ///< worker threads currently in their loop
+  bool serving = false;     ///< admission open (start()ed, not stopped)
+  bool queue_open = false;  ///< request queue exists and is not closed
+  int workers = 0;          ///< worker threads currently in their loop
 
-  bool healthy() const {
-    return serving && scheduler_alive && queue_open && workers > 0;
-  }
+  bool healthy() const { return serving && queue_open && workers > 0; }
   std::string json() const;
 };
 
@@ -155,7 +151,7 @@ class ServingEngine {
   int num_tenants() const { return static_cast<int>(tenants_.size()); }
   const std::string& tenant_name(int tenant) const;
 
-  /// Spawns the scheduler and worker threads. Requires >= 1 tenant.
+  /// Spawns the worker threads. Requires >= 1 tenant.
   void start();
   bool running() const { return running_.load(std::memory_order_acquire); }
 
@@ -187,7 +183,6 @@ class ServingEngine {
   const obs::ExemplarStore* exemplars() const { return exemplars_.get(); }
 
  private:
-  void scheduler_main();
   void worker_main(int worker_id);
   void execute_batch(Batch batch,
                      std::vector<std::unique_ptr<ServingContext>>& contexts,
@@ -198,23 +193,13 @@ class ServingEngine {
   std::vector<TenantSpec> tenants_;
   std::unique_ptr<RequestQueue> queue_;
 
-  // Formed batches awaiting a worker, bounded to num_workers so requests
-  // keep counting against queue depth (and admission control) until a
-  // worker is about to pick them up.
-  std::mutex batch_mu_;
-  std::condition_variable batch_cv_;
-  std::deque<Batch> batches_;
-  bool scheduler_done_ = false;
-
   std::atomic<bool> running_{false};
   bool started_ = false;
   bool stopped_ = false;
   mutable std::mutex lifecycle_mu_;  // serializes start()/stop(), health()
-  std::thread scheduler_;
   std::vector<std::thread> workers_;
-  // Liveness signals for health(): flipped by the threads themselves, so a
-  // crashed/exited scheduler shows up even while running_ is still true.
-  std::atomic<bool> scheduler_alive_{false};
+  // Liveness signal for health(): lowered by each worker as it exits, so an
+  // exited worker shows up even while running_ is still true.
   std::atomic<int> workers_alive_{0};
 
   std::atomic<uint64_t> next_id_{1};

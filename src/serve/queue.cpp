@@ -144,7 +144,13 @@ std::optional<Batch> RequestQueue::pop_batch(
     const std::function<double()>& now_ms) {
   std::unique_lock<std::mutex> lk(mu_);
   for (;;) {
-    if (auto b = try_form_batch_locked(now_ms())) return b;
+    if (auto b = try_form_batch_locked(now_ms())) {
+      // Pass the watch over what is left to another waiter: this caller is
+      // about to run its batch, and offer() wakes only one waiter, which
+      // may have been this one.
+      if (depth_ > 0) cv_.notify_one();
+      return b;
+    }
     if (closed_ && depth_ == 0) return std::nullopt;
     const double deadline = next_deadline_ms_locked();
     if (std::isinf(deadline)) {

@@ -1,5 +1,6 @@
 // Bounded, thread-safe multi-tenant request queue with admission control
-// and deterministic dynamic-batch formation — the scheduler's data plane.
+// and deterministic dynamic-batch formation — what the engine's workers
+// take their batches from.
 //
 // Structure: one FIFO lane per tenant behind a single mutex, plus a global
 // depth counter that admission control gates on:
@@ -23,10 +24,12 @@
 // ones; under saturation every lane is always full, so each of T tenants
 // gets exactly every T-th batch — no tenant starves (tested).
 //
-// The blocking pop_batch() wrapper adds the scheduler thread's waiting
-// logic: it sleeps until the earliest timeout deadline or a notification
-// from offer()/close(), and returns nullopt only when the queue is closed
-// and fully drained.
+// The blocking pop_batch() wrapper adds a free worker's waiting logic: it
+// sleeps until the earliest timeout deadline or a notification from
+// offer()/close(), and returns nullopt only when the queue is closed and
+// fully drained. Any number of workers may wait in it at once; one that
+// takes a batch and leaves requests behind wakes another, so the remaining
+// deadlines always have a waiter watching them.
 #pragma once
 
 #include <condition_variable>
@@ -44,8 +47,8 @@ namespace igc::serve {
 /// popped from the queue in FIFO order.
 struct Batch {
   int tenant = -1;
-  /// Engine-wide batch sequence number, stamped by the scheduler when the
-  /// batch is formed (-1 until then). Request timelines reference it.
+  /// Engine-wide batch sequence number, stamped by the worker that formed
+  /// the batch (-1 until then). Request timelines reference it.
   int64_t id = -1;
   /// Engine-clock time the batch was formed (each member's schedule_ms).
   double formed_ms = 0.0;
@@ -97,10 +100,10 @@ class RequestQueue {
   /// triggered lane answers `now` from try_form_batch, never a deadline.
   double next_deadline_ms() const;
 
-  /// Blocking companion of try_form_batch for the scheduler thread: waits
-  /// (on `now_ms()`'s timeline, converted to real waits) until a batch is
+  /// Blocking companion of try_form_batch for a free worker: waits (on
+  /// `now_ms()`'s timeline, converted to real waits) until a batch is
   /// dispatchable, then forms and returns it. Returns nullopt only when
-  /// closed and drained.
+  /// closed and drained. Safe to call from several threads at once.
   std::optional<Batch> pop_batch(const std::function<double()>& now_ms);
 
  private:

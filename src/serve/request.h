@@ -2,9 +2,10 @@
 // admission control answers, and what the worker pool eventually delivers.
 //
 // Every request carries four engine-clock timestamps — enqueue (admission),
-// schedule (its batch formed), start (a worker began executing it), finish
-// (its inference returned) — so queue-wait, service, and end-to-end latency
-// are all derivable per request and feed the serve.* latency histograms.
+// schedule (a free worker formed its batch), start (that worker began
+// executing it), finish (its inference returned) — so queue-wait, service,
+// and end-to-end latency are all derivable per request and feed the serve.*
+// latency histograms.
 //
 // Timestamps come from the engine's injectable monotonic clock
 // (EngineOptions::clock_ms), never from wall-clock reads inside this layer,
@@ -68,9 +69,10 @@ struct RequestOutcome {
   double e2e_ms() const { return finish_ms - enqueue_ms; }
 };
 
-/// One in-flight request while it moves queue -> batch -> worker. Owned by
-/// exactly one stage at a time (the queue, then its batch), so no lock
-/// guards the fields; the promise is fulfilled exactly once.
+/// One in-flight request while it moves submitter -> queue -> worker. Owned
+/// by exactly one stage at a time (the submitter, the queue, then the worker
+/// that took its batch), so no lock guards the fields; the promise is
+/// fulfilled exactly once.
 struct Request {
   uint64_t id = 0;
   int tenant = -1;

@@ -50,6 +50,13 @@ CompiledModel compile_untuned(models::Model model) {
   return compile(std::move(model), plat(), copts);
 }
 
+/// `opts` at the dynamic shape binding (`batch`, `hw`); 0 = the seed's.
+RunOptions at_binding(RunOptions opts, int64_t batch, int64_t hw) {
+  opts.batch = batch;
+  opts.input_hw = hw;
+  return opts;
+}
+
 void expect_bit_identical(const Tensor& a, const Tensor& b,
                           const std::string& what) {
   ASSERT_TRUE(a.shape() == b.shape()) << what;
@@ -437,17 +444,17 @@ TEST(DynamicShapes, BindingsAreValidatedAgainstTheDeclaredSpec) {
 
   RunOptions ropts;
   ropts.compute_numerics = false;
-  EXPECT_THROW(cls.run(9, 64, ropts), Error);    // batch above max_batch
-  EXPECT_THROW(cls.run(1, 2048, ropts), Error);  // hw above max_hw
-  EXPECT_THROW(cls.run(1, 63, ropts), Error);    // hw below min_hw
+  EXPECT_THROW(cls.run(at_binding(ropts, 9, 64)), Error);    // > max_batch
+  EXPECT_THROW(cls.run(at_binding(ropts, 1, 2048)), Error);  // hw > max_hw
+  EXPECT_THROW(cls.run(at_binding(ropts, 1, 63)), Error);    // hw < min_hw
 
   // Detection bakes its anchors: resolution is fixed, batch is dynamic.
   const CompiledModel det = compile_untuned(
       models::build_ssd(rng, models::SsdBackbone::kMobileNet, 128));
   EXPECT_TRUE(det.shape_spec().dynamic_batch);
   EXPECT_FALSE(det.shape_spec().dynamic_hw);
-  EXPECT_THROW(det.run(1, 256, ropts), Error);
-  const RunResult r = det.run(2, 0, ropts);
+  EXPECT_THROW(det.run(at_binding(ropts, 1, 256)), Error);
+  const RunResult r = det.run(at_binding(ropts, 2, 0));
   EXPECT_EQ(r.output.shape()[0], 2);
 }
 
@@ -465,7 +472,7 @@ TEST(DynamicShapes, NumericsAreBitIdenticalToStaticCompilesAtEachShape) {
       RunOptions ropts;
       ropts.compute_numerics = true;
       const RunResult want = fixed.run(ropts);
-      const RunResult got = dyn.run(batch, hw, ropts);
+      const RunResult got = dyn.run(at_binding(ropts, batch, hw));
       const std::string what = "batch " + std::to_string(batch) + " hw " +
                                std::to_string(hw);
       expect_bit_identical(got.output, want.output, what);
@@ -475,7 +482,7 @@ TEST(DynamicShapes, NumericsAreBitIdenticalToStaticCompilesAtEachShape) {
       // Persistent-arena dynamic runs match too (its arena rebinds).
       RunOptions aopts = ropts;
       aopts.use_arena = true;
-      const RunResult arena = dyn.run(batch, hw, aopts);
+      const RunResult arena = dyn.run(at_binding(aopts, batch, hw));
       expect_bit_identical(arena.output, want.output, what + " arena");
     }
   }
@@ -506,7 +513,7 @@ TEST(DynamicShapes, FullSweepRunsWithZeroReplanningOrRetuning) {
       RunOptions ropts;
       ropts.compute_numerics = false;  // full-size: cost model only
       const RunResult want = fixed[{batch, hw}]->run(ropts);
-      const RunResult got = dyn.run(batch, hw, ropts);
+      const RunResult got = dyn.run(at_binding(ropts, batch, hw));
       const std::string what = "batch " + std::to_string(batch) + " hw " +
                                std::to_string(hw);
       EXPECT_DOUBLE_EQ(got.latency_ms, want.latency_ms) << what;
@@ -554,7 +561,7 @@ TEST(DynamicShapes, EveryConvRunsItsOwnWorkloadsScheduleAtEachBinding) {
     RunOptions ropts;
     ropts.compute_numerics = false;
     ropts.trace = &trace;
-    cm.run(batch, hw, ropts);
+    cm.run(at_binding(ropts, batch, hw));
 
     int convs = 0;
     for (const obs::TraceSpan& s : trace.spans()) {

@@ -510,7 +510,6 @@ TEST(RequestTrace, DebugEndpointsAndExemplarScrapeEndToEnd) {
   {
     const obs::json::Value h = obs::json::parse(body_of(health));
     EXPECT_TRUE(h.at("healthy").as_bool());
-    EXPECT_TRUE(h.at("scheduler_alive").as_bool());
     EXPECT_TRUE(h.at("queue_open").as_bool());
     EXPECT_GT(h.at("workers").as_int(), 0);
   }
@@ -599,7 +598,6 @@ TEST(RequestTrace, HealthSnapshotTracksTheLifecycle) {
   engine.start();
   h = engine.health();
   EXPECT_TRUE(h.healthy());
-  EXPECT_TRUE(h.scheduler_alive);
   EXPECT_TRUE(h.queue_open);
   EXPECT_EQ(h.workers, 2);
 

@@ -1,5 +1,6 @@
 // Tests for the serving engine (src/serve): open-loop arrivals, the bounded
-// multi-tenant request queue, and the scheduler/worker-pool engine.
+// multi-tenant request queue, and the engine whose workers form their own
+// batches.
 //
 //   * PoissonArrivals — deterministic schedules, correct mean rate;
 //   * RequestQueue — deterministic injected-clock batch formation (size
@@ -9,17 +10,22 @@
 //   * ServingEngine — every admitted request resolves, timestamps are
 //     ordered, saturation sheds load instead of growing the queue without
 //     bound, no tenant starves under saturation, clean shutdown with
-//     in-flight requests, serve.* metrics accounting, and bit-identical
-//     outputs to a direct run() (the engine is a scheduler, not a numerics
-//     path).
+//     in-flight requests, serve.* metrics accounting, requests queued
+//     behind a busy worker dispatching as one batch, and bit-identical
+//     outputs to a direct run() (the engine schedules runs; it is not a
+//     numerics path).
 //
 // Engine tests run real threads but assert only scheduling-independent
 // invariants, so they are deterministic and TSan-clean on any interleaving.
+// The one exception, the busy-worker batching test, times its submissions
+// with margins of 20 ms and more than 150 ms around a ~200 ms request.
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <chrono>
 #include <cmath>
 #include <numeric>
+#include <thread>
 #include <vector>
 
 #include "core/compiler.h"
@@ -352,6 +358,46 @@ TEST(ServingEngine, SimPacingHoldsWorkersForScaledSimulatedTime) {
   serve::EngineOptions bad;
   bad.sim_pacing = -1.0;
   EXPECT_THROW(serve::ServingEngine{bad}, Error);
+}
+
+TEST(ServingEngine, RequestsQueuedBehindABusyWorkerDispatchTogether) {
+  // A batch forms when a worker is free to run it: requests that arrive
+  // while the only worker is busy wait in the queue and leave it as one
+  // batch, not as one batch each.
+  const CompiledModel cm = compile_small();
+  const double sim_ms = cm.run(1, false).latency_ms;
+  ASSERT_GT(sim_ms, 0.0);
+
+  serve::EngineOptions opts;
+  obs::MetricsRegistry reg;
+  opts.registry = &reg;
+  opts.num_workers = 1;
+  opts.queue.max_batch_size = 4;
+  opts.queue.max_wait_ms = 0.0;
+  opts.sim_pacing = 200.0 / sim_ms;  // each request holds the worker ~200 ms
+  serve::ServingEngine engine(opts);
+  const int t0 = engine.add_tenant(tenant_of("a", cm));
+  engine.start();
+
+  std::vector<std::future<serve::RequestOutcome>> futures;
+  const auto t_start = std::chrono::steady_clock::now();
+  for (int i = 0; i < 4; ++i) {
+    // The first request goes straight to the worker; the other three arrive
+    // 20, 25 and 30 ms later, while it is still running.
+    if (i > 0) {
+      std::this_thread::sleep_until(t_start +
+                                    std::chrono::milliseconds(15 + 5 * i));
+    }
+    serve::SubmitResult r = engine.submit(t0, static_cast<uint64_t>(i));
+    ASSERT_TRUE(r.admitted());
+    futures.push_back(std::move(r.outcome));
+  }
+  engine.stop();
+
+  std::vector<int> sizes;
+  for (auto& f : futures) sizes.push_back(f.get().batch_size);
+  EXPECT_EQ(sizes, (std::vector<int>{1, 3, 3, 3}));
+  EXPECT_EQ(engine.stats().batches, 2);
 }
 
 TEST(ServingEngine, SaturationShedsInsteadOfGrowingTheQueue) {

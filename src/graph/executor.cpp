@@ -750,19 +750,10 @@ class ExecutorImpl {
       scratch.args.push_back(bind_arg(kind, n, *k, out, scratch));
     }
 
-    ThreadPool& pool = ThreadPool::global();
-    const int64_t grid = k->grid;
-    const int64_t chunks =
-        std::min<int64_t>(grid, std::max(1, 4 * pool.num_threads()));
     float* const* args = scratch.args.data();
     codegen::jit::KernelFn fn = k->fn;
-    if (chunks <= 1 || pool.on_worker_thread()) {
-      fn(args, 0, grid);
-    } else {
-      pool.parallel_for(chunks, [args, fn, grid, chunks](int64_t c) {
-        fn(args, grid * c / chunks, grid * (c + 1) / chunks);
-      });
-    }
+    ThreadPool::global().parallel_for(
+        k->grid, 1, [args, fn](int64_t lo, int64_t hi) { fn(args, lo, hi); });
     dispatches.add(1);
 
     Value& v = val(n.id);

@@ -1,11 +1,13 @@
 // The heterogeneous graph executor.
 //
 // Runs an optimized graph against a simulated platform. Every run walks its
-// nodes in id (topological) order on the calling thread; data
-// parallelism lives inside a node (the JIT's grid split and the simulator's
-// work-groups over ThreadPool::global()). Each run computes two simulated
-// time models from the same per-node charges, and ExecMode picks which one
-// it reports as its latency:
+// nodes in id (topological) order on the calling thread; data parallelism
+// lives inside a node (the JIT's grid split, the simulator's work-groups and
+// the SSD and YOLOv3 decodes over ThreadPool::global(), whose parallel_for
+// also runs chunks on the calling thread, so a node finishes even when every
+// pool thread is busy). Each run computes two simulated time models from the
+// same per-node charges, and ExecMode picks which one it reports as its
+// latency:
 //
 //   * kSequential — the serial sum of every kernel charge (one in-order
 //     queue, the paper's baseline executor).

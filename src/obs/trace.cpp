@@ -27,6 +27,28 @@ std::string meta_event(int pid, int tid, const char* kind,
 
 }  // namespace
 
+HostRollup host_rollup(const std::vector<TraceSpan>& spans) {
+  HostRollup r;
+  r.span_ms.reserve(spans.size());
+  std::map<std::string, size_t> row_of;
+  for (const TraceSpan& s : spans) {
+    const double ms = std::max(0.0, s.host_end_us - s.host_start_us) / 1000.0;
+    r.span_ms.push_back(ms);
+    r.total_ms += ms;
+    auto [it, added] = row_of.emplace(s.op, r.by_op.size());
+    if (added) r.by_op.push_back(OpHostTime{s.op});
+    OpHostTime& row = r.by_op[it->second];
+    row.spans += 1;
+    row.host_ms += ms;
+    row.sim_ms += s.sim_end_ms - s.sim_start_ms;
+  }
+  std::stable_sort(r.by_op.begin(), r.by_op.end(),
+                   [](const OpHostTime& a, const OpHostTime& b) {
+                     return a.host_ms > b.host_ms;
+                   });
+  return r;
+}
+
 void TraceRecorder::begin(TraceMeta meta) {
   std::lock_guard<std::mutex> lock(mu_);
   meta_ = std::move(meta);
@@ -261,24 +283,44 @@ std::string TraceRecorder::report(int top_k) const {
     out += buf;
   }
 
-  std::sort(spans.begin(), spans.end(), [](const TraceSpan& a,
-                                           const TraceSpan& b) {
-    return (a.sim_end_ms - a.sim_start_ms) > (b.sim_end_ms - b.sim_start_ms);
+  const HostRollup host = host_rollup(spans);
+  auto sim_ms = [&](size_t i) {
+    return spans[i].sim_end_ms - spans[i].sim_start_ms;
+  };
+  std::vector<size_t> order(spans.size());
+  for (size_t i = 0; i < order.size(); ++i) order[i] = i;
+  std::stable_sort(order.begin(), order.end(), [&](size_t a, size_t b) {
+    return sim_ms(a) > sim_ms(b);
   });
   const int k = std::min<int>(top_k, static_cast<int>(spans.size()));
-  std::snprintf(buf, sizeof(buf), "top %d ops by serial ms:\n", k);
+  std::snprintf(buf, sizeof(buf), "top %d ops by serial ms (sim, host):\n", k);
   out += buf;
-  for (int i = 0; i < k; ++i) {
-    const TraceSpan& s = spans[static_cast<size_t>(i)];
-    const double d = s.sim_end_ms - s.sim_start_ms;
+  for (int j = 0; j < k; ++j) {
+    const size_t i = order[static_cast<size_t>(j)];
+    const TraceSpan& s = spans[i];
+    const double d = sim_ms(i);
     std::snprintf(buf, sizeof(buf),
-                  "  %10.3f ms %5.1f%%  %-4s %-8s %-14s %-24s %s\n", d,
-                  serial > 0.0 ? 100.0 * d / serial : 0.0,
+                  "  %10.3f ms %5.1f%% %9.3f ms  %-4s %-8s %-14s %-24s %s\n",
+                  d, serial > 0.0 ? 100.0 * d / serial : 0.0, host.span_ms[i],
                   std::string(sim::lane_name(s.lane)).c_str(),
                   std::string(sim::category_name(s.category)).c_str(),
                   s.op.c_str(), s.name.c_str(),
                   (s.shape + (s.schedule.empty() ? "" : "  " + s.schedule))
                       .c_str());
+    out += buf;
+  }
+
+  std::snprintf(buf, sizeof(buf),
+                "host rollup by op kind (span host ms %.3f):\n",
+                host.total_ms);
+  out += buf;
+  for (const OpHostTime& row : host.by_op) {
+    std::snprintf(buf, sizeof(buf),
+                  "  %-16s %9.3f ms %5.1f%% %5d spans %12.3f sim ms\n",
+                  row.op.c_str(), row.host_ms,
+                  host.total_ms > 0.0 ? 100.0 * row.host_ms / host.total_ms
+                                      : 0.0,
+                  row.spans, row.sim_ms);
     out += buf;
   }
   return out;

@@ -16,7 +16,8 @@
 //     lane (GPU queue / companion CPU / copy engine) plus one track per host
 //     thread that ran nodes;
 //   * report() — the paper's per-layer breakdown tables reproduced from the
-//     trace: category rollup, per-lane utilization, and top-k ops.
+//     trace: category rollup, per-lane utilization, top-k ops with their
+//     host ms, and host ms per op kind (host_rollup()).
 #pragma once
 
 #include <cstdint>
@@ -64,6 +65,24 @@ struct TraceSpan {
   sim::KernelCounters counters;
 };
 
+/// Host wall-clock time of one op kind over a trace's spans.
+struct OpHostTime {
+  std::string op;
+  int spans = 0;
+  double host_ms = 0.0;
+  double sim_ms = 0.0;  // serial simulated ms of the same spans
+};
+
+/// Host attribution of a trace: every span's host window, in span order, and
+/// their totals per op kind, largest host total first. Spans of a run that
+/// did not capture host times count 0 ms.
+struct HostRollup {
+  std::vector<double> span_ms;
+  std::vector<OpHostTime> by_op;
+  double total_ms = 0.0;  // sum of span_ms
+};
+HostRollup host_rollup(const std::vector<TraceSpan>& spans);
+
 class TraceRecorder {
  public:
   /// Starts a new trace: stores the run metadata and drops prior spans.
@@ -89,8 +108,9 @@ class TraceRecorder {
   /// Writes chrome_trace_json() to `path`; returns false on I/O failure.
   bool save_chrome_trace(const std::string& path) const;
 
-  /// Human-readable per-layer report: category rollup, lane end-times, and
-  /// the top `top_k` ops by serial time.
+  /// Human-readable per-layer report: category rollup, lane end-times, the
+  /// top `top_k` ops by serial time with their host ms, and host ms per op
+  /// kind.
   std::string report(int top_k = 12) const;
 
  private:

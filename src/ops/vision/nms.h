@@ -13,12 +13,14 @@
 // [class_id, score, x1, y1, x2, y2]; class_id < 0 marks an invalid entry.
 #pragma once
 
+#include <algorithm>
 #include <cstdint>
 #include <functional>
 #include <limits>
 #include <vector>
 
 #include "core/error.h"
+#include "core/thread_pool.h"
 #include "sim/simulator.h"
 #include "tensor/tensor.h"
 
@@ -116,12 +118,18 @@ class SsdTensorLogits {
   int64_t plane_;
 };
 
+/// Output rows (an SSD anchor, a YOLOv3 (anchor, cell) pair) below which a
+/// host decode chunk is not worth a thread: the decodes split their work
+/// over ThreadPool::global() in chunks of at least this many rows, so small
+/// heads stay on the calling thread.
+inline constexpr int64_t kDecodeMinChunk = 512;
+
 /// One scale of SSD head outputs besides its class logits, as
 /// ssd_decode_head() reads it.
 struct SsdHeadView {
   /// Element i of the flat (B, A*4, H, W) localization deltas. Called only
   /// for anchors that pass valid_thresh, so a caller may produce deltas on
-  /// demand.
+  /// demand, and from several threads at once.
   std::function<float(int64_t)> loc;
   int64_t anchors_per_cell = 0;
   int64_t height = 0;
@@ -158,7 +166,11 @@ void ssd_decode_box(const float* loc, const float* anchor,
 ///     non-background logit minus its largest logit, in float, is at most
 ///     g; +infinity promises nothing.
 /// SsdTensorLogits reads a tensor; graph::SyntheticSsdCls produces
-/// shapes-only logits on demand.
+/// shapes-only logits on demand. Both queries, and `h.loc`, are called from
+/// several threads at once: the (batch, feature cell) pairs are split over
+/// ThreadPool::global() in chunks of at least kDecodeMinChunk anchors, each
+/// with its own scratch. Every anchor writes only its own row, so the output
+/// does not depend on the split.
 ///
 /// An anchor whose every non-background probability provably falls below
 /// valid_thresh is skipped without its softmax. When every logit is finite
@@ -186,26 +198,32 @@ void ssd_decode_head(const Cls& cls, const SsdHeadView& h,
   const double skip_below = detail::ssd_skip_below(p.nms.valid_thresh);
   const float* an = anchors.data_f32();
   float* o = out.data_f32();
-  std::vector<float> logit(static_cast<size_t>(c1));
-  std::vector<float> e(static_cast<size_t>(c1));
-  for (int64_t b = 0; b < batch; ++b) {
-    for (int64_t cell = 0; cell < plane; ++cell) {
-      for (int64_t ai = 0; ai < a; ++ai) {
-        if (cls.gap_bound(b, ai, cell) < skip_below) continue;
-        cls.logits(b, ai, cell, logit.data());
-        const int64_t anchor = anchor_off + cell * a + ai;
-        float* row = o + (b * total + anchor) * 6;
-        if (!detail::ssd_score_anchor(logit.data(), c1, skip_below,
-                                      p.nms.valid_thresh, e.data(), row)) {
-          continue;
+  const int64_t min_cells = (kDecodeMinChunk + a - 1) / std::max<int64_t>(a, 1);
+  ThreadPool::global().parallel_for(
+      batch * plane, min_cells, [&](int64_t lo, int64_t hi) {
+        std::vector<float> logit(static_cast<size_t>(c1));
+        std::vector<float> e(static_cast<size_t>(c1));
+        for (int64_t i = lo; i < hi; ++i) {
+          const int64_t b = i / plane;
+          const int64_t cell = i % plane;
+          for (int64_t ai = 0; ai < a; ++ai) {
+            if (cls.gap_bound(b, ai, cell) < skip_below) continue;
+            cls.logits(b, ai, cell, logit.data());
+            const int64_t anchor = anchor_off + cell * a + ai;
+            float* row = o + (b * total + anchor) * 6;
+            if (!detail::ssd_score_anchor(logit.data(), c1, skip_below,
+                                          p.nms.valid_thresh, e.data(), row)) {
+              continue;
+            }
+            const int64_t loc_base = (b * a + ai) * 4 * plane + cell;
+            float loc[4];
+            for (int64_t d = 0; d < 4; ++d) {
+              loc[d] = h.loc(loc_base + d * plane);
+            }
+            detail::ssd_decode_box(loc, an + anchor * 4, p.variances, row + 2);
+          }
         }
-        const int64_t loc_base = (b * a + ai) * 4 * plane + cell;
-        float loc[4];
-        for (int64_t d = 0; d < 4; ++d) loc[d] = h.loc(loc_base + d * plane);
-        detail::ssd_decode_box(loc, an + anchor * 4, p.variances, row + 2);
-      }
-    }
-  }
+      });
 }
 
 /// Decodes SSD head outputs into detections and applies NMS.

@@ -3,12 +3,15 @@
 // ready for box_nms.
 #pragma once
 
+#include <algorithm>
 #include <cmath>
 #include <limits>
 #include <utility>
 #include <vector>
 
 #include "core/error.h"
+#include "core/thread_pool.h"
+#include "ops/vision/nms.h"
 #include "sim/simulator.h"
 #include "tensor/tensor.h"
 
@@ -32,7 +35,11 @@ inline float yolo_sigmoid(float x) { return 1.0f / (1.0f + std::exp(-x)); }
 /// decode a tensor or produce elements on demand. Returns (B, H*W*A, 6) rows
 /// [class_id, score, x1, y1, x2, y2], normalized coordinates; rows whose
 /// score falls below conf_thresh stay invalid (-1). Each element is read at
-/// most once.
+/// most once, and `at` is called from several threads at once: the (batch,
+/// anchor, grid row) triples are split over ThreadPool::global() in chunks
+/// of at least kDecodeMinChunk (anchor, cell) pairs, each with its own
+/// scratch. Every row is written by the one chunk that decodes it, so the
+/// output does not depend on the split.
 ///
 /// Two exact early exits skip rows whose score provably misses conf_thresh:
 ///   - A (cell, anchor) whose objectness misses conf_thresh reads only its
@@ -70,63 +77,67 @@ Tensor yolo_decode_at(const Shape& head, At&& at, const YoloDecodeParams& p) {
       p.conf_thresh >= std::numeric_limits<float>::min()
           ? static_cast<double>(p.conf_thresh)
           : -std::numeric_limits<double>::infinity();
-  std::vector<float> logit(static_cast<size_t>(p.num_classes));
 
-  for (int64_t b = 0; b < bsz; ++b) {
-    for (int64_t ai = 0; ai < a; ++ai) {
-      for (int64_t gy = 0; gy < gh; ++gy) {
-        for (int64_t gx = 0; gx < gw; ++gx) {
-          const int64_t base = (b * a + ai) * per_anchor * plane + gy * gw + gx;
-          auto ch = [&](int64_t c) { return at(base + c * plane); };
-          const float obj = yolo_sigmoid(ch(4));
-          logit[0] = ch(5);
-          // Class 0's score is NaN exactly when its logit is.
-          if (obj < p.conf_thresh && !std::isnan(logit[0])) continue;
-          float best = yolo_sigmoid(logit[0]);
-          float m = logit[0];
-          for (int64_t c = 1; c < p.num_classes; ++c) {
-            const float l = ch(5 + c);
-            logit[static_cast<size_t>(c)] = l;
-            if (l > m) m = l;
-          }
-          if (!std::isnan(obj) && !std::isnan(m) &&
-              static_cast<double>(obj) /
-                      (1.0 + std::exp(-static_cast<double>(m))) *
-                      (1.0 + 1e-5) <
-                  reject_below) {
-            continue;
-          }
-          // Best class.
-          int64_t best_c = 0;
-          for (int64_t c = 1; c < p.num_classes; ++c) {
-            const float v = yolo_sigmoid(logit[static_cast<size_t>(c)]);
-            if (v > best) {
-              best = v;
-              best_c = c;
-            }
-          }
-          const float score = obj * best;
-          if (score < p.conf_thresh) continue;
-          // Box decode: sigmoid offsets within the cell, exp-scaled anchors.
-          const float cx = (static_cast<float>(gx) + yolo_sigmoid(ch(0))) /
-                           static_cast<float>(gw);
-          const float cy = (static_cast<float>(gy) + yolo_sigmoid(ch(1))) /
-                           static_cast<float>(gh);
-          const float bw = p.anchors[static_cast<size_t>(ai)].first *
-                           std::exp(ch(2)) * inv_input * 0.5f;
-          const float bh = p.anchors[static_cast<size_t>(ai)].second *
-                           std::exp(ch(3)) * inv_input * 0.5f;
-          float* row = o + (b * n + (gy * gw + gx) * a + ai) * 6;
-          row[0] = static_cast<float>(best_c);
-          row[1] = score;
-          row[2] = cx - bw;
-          row[3] = cy - bh;
-          row[4] = cx + bw;
-          row[5] = cy + bh;
+  auto decode_rows = [&](int64_t lo, int64_t hi) {
+    std::vector<float> logit(static_cast<size_t>(p.num_classes));
+    for (int64_t r = lo; r < hi; ++r) {
+      const int64_t b = r / (a * gh);
+      const int64_t ai = r / gh % a;
+      const int64_t gy = r % gh;
+      for (int64_t gx = 0; gx < gw; ++gx) {
+        const int64_t base = (b * a + ai) * per_anchor * plane + gy * gw + gx;
+        auto ch = [&](int64_t c) { return at(base + c * plane); };
+        const float obj = yolo_sigmoid(ch(4));
+        logit[0] = ch(5);
+        // Class 0's score is NaN exactly when its logit is.
+        if (obj < p.conf_thresh && !std::isnan(logit[0])) continue;
+        float best = yolo_sigmoid(logit[0]);
+        float m = logit[0];
+        for (int64_t c = 1; c < p.num_classes; ++c) {
+          const float l = ch(5 + c);
+          logit[static_cast<size_t>(c)] = l;
+          if (l > m) m = l;
         }
+        if (!std::isnan(obj) && !std::isnan(m) &&
+            static_cast<double>(obj) /
+                    (1.0 + std::exp(-static_cast<double>(m))) *
+                    (1.0 + 1e-5) <
+                reject_below) {
+          continue;
+        }
+        // Best class.
+        int64_t best_c = 0;
+        for (int64_t c = 1; c < p.num_classes; ++c) {
+          const float v = yolo_sigmoid(logit[static_cast<size_t>(c)]);
+          if (v > best) {
+            best = v;
+            best_c = c;
+          }
+        }
+        const float score = obj * best;
+        if (score < p.conf_thresh) continue;
+        // Box decode: sigmoid offsets within the cell, exp-scaled anchors.
+        const float cx = (static_cast<float>(gx) + yolo_sigmoid(ch(0))) /
+                         static_cast<float>(gw);
+        const float cy = (static_cast<float>(gy) + yolo_sigmoid(ch(1))) /
+                         static_cast<float>(gh);
+        const float bw = p.anchors[static_cast<size_t>(ai)].first *
+                         std::exp(ch(2)) * inv_input * 0.5f;
+        const float bh = p.anchors[static_cast<size_t>(ai)].second *
+                         std::exp(ch(3)) * inv_input * 0.5f;
+        float* row = o + (b * n + (gy * gw + gx) * a + ai) * 6;
+        row[0] = static_cast<float>(best_c);
+        row[1] = score;
+        row[2] = cx - bw;
+        row[3] = cy - bh;
+        row[4] = cx + bw;
+        row[5] = cy + bh;
       }
     }
-  }
+  };
+  const int64_t min_rows =
+      (kDecodeMinChunk + gw - 1) / std::max<int64_t>(gw, 1);
+  ThreadPool::global().parallel_for(bsz * a * gh, min_rows, decode_rows);
   return out;
 }
 

@@ -1,8 +1,16 @@
 // Unit tests for src/core: error macros, shapes, rng, thread pool.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
+#include <chrono>
+#include <condition_variable>
+#include <future>
+#include <mutex>
 #include <set>
+#include <thread>
+#include <utility>
+#include <vector>
 
 #include "core/error.h"
 #include "core/rng.h"
@@ -145,16 +153,109 @@ TEST(ThreadPool, NestedCallsDegradeGracefully) {
   // lets a nested user (the JIT's grid split) run inline instead of
   // blocking on the workers it occupies.
   EXPECT_FALSE(global.on_worker_thread());
+  const std::thread::id caller = std::this_thread::get_id();
+  std::vector<std::atomic<int>> outer_runs(8);
+  std::atomic<int> outer_elsewhere{0};
+  std::atomic<int> nested_moved{0};
   std::atomic<int> count{0};
-  std::atomic<int> on_worker{0};
   // Using the global pool inside tasks of the global pool must not deadlock.
-  global.parallel_for(8, [&](int64_t) {
-    if (global.on_worker_thread()) on_worker++;
-    global.parallel_for(8, [&](int64_t) { count++; });
+  global.parallel_for(8, [&](int64_t i) {
+    outer_runs[static_cast<size_t>(i)]++;
+    const bool on_worker = global.on_worker_thread();
+    const std::thread::id self = std::this_thread::get_id();
+    if (!on_worker && self != caller) outer_elsewhere++;
+    global.parallel_for(8, [&](int64_t) {
+      count++;
+      if (on_worker && std::this_thread::get_id() != self) nested_moved++;
+    });
   });
+  // Each outer item runs once, on a worker or on the caller, and a nested
+  // loop started on a worker runs all of its items on that worker.
+  for (const auto& runs : outer_runs) EXPECT_EQ(runs.load(), 1);
+  EXPECT_EQ(outer_elsewhere.load(), 0);
+  EXPECT_EQ(nested_moved.load(), 0);
   EXPECT_EQ(count.load(), 64);
-  // A one-worker pool runs parallel_for inline on the caller.
-  EXPECT_EQ(on_worker.load(), global.num_threads() > 1 ? 8 : 0);
+}
+
+// The range form cuts [0, n) into contiguous chunks of at least min_chunk
+// items, at most four per worker, each run exactly once.
+TEST(ThreadPool, RangeFormCoversTheRangeInBoundedChunks) {
+  ThreadPool pool(3);
+  for (const auto& [n, min_chunk] :
+       std::vector<std::pair<int64_t, int64_t>>{
+           {17, 1}, {1000, 1}, {1000, 64}, {1000, 600}, {5, 8}}) {
+    std::mutex mu;
+    std::vector<std::pair<int64_t, int64_t>> chunks;
+    pool.parallel_for(n, min_chunk, [&](int64_t lo, int64_t hi) {
+      std::lock_guard<std::mutex> lock(mu);
+      chunks.emplace_back(lo, hi);
+    });
+    std::sort(chunks.begin(), chunks.end());
+    ASSERT_FALSE(chunks.empty());
+    EXPECT_LE(chunks.size(), 12u) << "n " << n;
+    int64_t next = 0;
+    for (const auto& [lo, hi] : chunks) {
+      EXPECT_EQ(lo, next) << "n " << n;
+      if (chunks.size() > 1) {
+        EXPECT_GE(hi - lo, min_chunk) << "n " << n;
+      }
+      next = hi;
+    }
+    EXPECT_EQ(next, n);
+  }
+}
+
+// A loop whose helpers never start finishes on its caller. Both workers of
+// a two-worker pool park inside one loop; a second loop from another thread
+// must complete on that thread alone, while they stay parked.
+TEST(ThreadPool, CallerFinishesWhileEveryWorkerIsBusy) {
+  ThreadPool pool(2);
+  std::mutex mu;
+  std::condition_variable cv;
+  int parked = 0;
+  bool open = false;
+  std::vector<std::atomic<int>> first_hits(64);
+  std::thread first([&] {
+    pool.parallel_for(64, [&](int64_t i) {
+      first_hits[static_cast<size_t>(i)]++;
+      std::unique_lock<std::mutex> lock(mu);
+      if (pool.on_worker_thread()) {
+        ++parked;
+        cv.notify_all();
+        cv.wait(lock, [&] { return open; });
+      } else {
+        cv.wait(lock, [&] { return parked >= 2; });
+      }
+    });
+  });
+  {
+    // EXPECT, not ASSERT: the gate below must still open before the joins.
+    std::unique_lock<std::mutex> lock(mu);
+    EXPECT_TRUE(cv.wait_for(lock, std::chrono::seconds(30),
+                            [&] { return parked >= 2; }));
+  }
+
+  std::vector<std::atomic<int>> second_hits(100);
+  std::promise<void> second_done;
+  std::future<void> second_finished = second_done.get_future();
+  std::thread second([&] {
+    pool.parallel_for(100, [&](int64_t i) {
+      second_hits[static_cast<size_t>(i)]++;
+    });
+    second_done.set_value();
+  });
+  EXPECT_EQ(second_finished.wait_for(std::chrono::seconds(3)),
+            std::future_status::ready);
+  {
+    std::lock_guard<std::mutex> lock(mu);
+    EXPECT_EQ(parked, 2);
+    open = true;
+  }
+  cv.notify_all();
+  first.join();
+  second.join();
+  for (const auto& h : first_hits) EXPECT_EQ(h.load(), 1);
+  for (const auto& h : second_hits) EXPECT_EQ(h.load(), 1);
 }
 
 TEST(ThreadPool, ZeroAndOneIterations) {

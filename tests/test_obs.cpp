@@ -296,6 +296,55 @@ TEST(Trace, ChromeExportIsValidJsonWithLaneTracks) {
   EXPECT_NE(report.find("category rollup"), std::string::npos);
 }
 
+// host_rollup() attributes a traced run's host time: each span's host
+// window, and per op kind the sum of its spans' windows, so the kinds
+// together add up to every span's host window.
+TEST(Trace, HostRollupPerOpKindSumsTheSpansHostWindows) {
+  const sim::Platform& plat = sim::platform(sim::PlatformId::kDeepLens);
+  Rng rng(0x5eed);
+  const CompiledModel cm =
+      compile_fast(models::build_ssd(rng, models::SsdBackbone::kMobileNet, 128),
+                   plat, {graph::OpKind::kSsdDetection});
+  obs::TraceRecorder rec;
+  RunOptions ropts;
+  ropts.compute_numerics = false;
+  ropts.trace = &rec;
+  cm.run(ropts);
+
+  const std::vector<obs::TraceSpan>& spans = rec.spans();
+  const obs::HostRollup host = obs::host_rollup(spans);
+  ASSERT_EQ(host.span_ms.size(), spans.size());
+  std::map<std::string, double> want_ms;
+  std::map<std::string, int> want_spans;
+  double windows_ms = 0.0;
+  for (size_t i = 0; i < spans.size(); ++i) {
+    const double w = (spans[i].host_end_us - spans[i].host_start_us) / 1000.0;
+    EXPECT_GE(w, 0.0) << spans[i].name;
+    EXPECT_DOUBLE_EQ(host.span_ms[i], w) << spans[i].name;
+    want_ms[spans[i].op] += w;
+    want_spans[spans[i].op] += 1;
+    windows_ms += w;
+  }
+  EXPECT_GT(windows_ms, 0.0);
+  ASSERT_EQ(host.by_op.size(), want_ms.size());
+  double kinds_ms = 0.0;
+  for (size_t k = 0; k < host.by_op.size(); ++k) {
+    const obs::OpHostTime& row = host.by_op[k];
+    EXPECT_NEAR(row.host_ms, want_ms[row.op], 1e-9) << row.op;
+    EXPECT_EQ(row.spans, want_spans[row.op]) << row.op;
+    if (k > 0) {
+      EXPECT_LE(row.host_ms, host.by_op[k - 1].host_ms) << row.op;
+    }
+    kinds_ms += row.host_ms;
+  }
+  EXPECT_NEAR(kinds_ms, windows_ms, 1e-9);
+  EXPECT_NEAR(host.total_ms, windows_ms, 1e-9);
+
+  const std::string report = rec.report();
+  EXPECT_NE(report.find("host rollup by op kind"), std::string::npos);
+  EXPECT_NE(report.find("ssd_detection"), std::string::npos);
+}
+
 TEST(Metrics, DeltasIdenticalAcrossRepeatedArenaRuns) {
   const sim::Platform& plat = sim::platform(sim::PlatformId::kDeepLens);
   Rng rng(0x5eed);

@@ -1,14 +1,18 @@
 // Tests for the vision-specific operators (Sec. 3.1): prefix sum,
 // segmented argsort, box_nms, multibox, ROIAlign, and YOLO decode.
 // Every GPU implementation must match its reference exactly, and the
-// optimized variants must beat the naive ones on the simulated clock.
+// optimized variants must beat the naive ones on the simulated clock. The
+// host SSD and YOLO decodes split their work over ThreadPool::global(), and
+// concurrent callers must still match the serial oracles.
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <atomic>
 #include <cmath>
 #include <cstring>
 #include <limits>
 #include <numeric>
+#include <thread>
 
 #include "core/rng.h"
 #include "graph/synthetic.h"
@@ -661,13 +665,61 @@ int64_t total_anchors(const std::vector<Scale>& scales) {
   return n;
 }
 
+/// SSD heads filled in order from `rng`, per head its class logits and then
+/// its deltas.
+std::vector<SsdHead> eager_ssd_heads(const std::vector<Scale>& scales,
+                                     int64_t bsz, int64_t c1, Rng& rng) {
+  std::vector<SsdHead> heads;
+  for (const Scale& s : scales) {
+    SsdHead h;
+    h.cls = synthesize_ssd_cls_eager(Shape{bsz, s.a * c1, s.h, s.w}, c1, rng);
+    h.loc = Tensor::random_normal(Shape{bsz, s.a * 4, s.h, s.w}, rng, 0.3f);
+    heads.push_back(std::move(h));
+  }
+  return heads;
+}
+
 /// The shapes-only recipe the executor runs: per head, the class-logit
 /// stream and then the deltas, each read on demand from a copy of one Rng
-/// that then jumps past them. Against heads filled in order from the same
-/// seed: every logit and delta equals the eager fill's, every finite gap
-/// bound holds on the logits it stands for, both generators end at the same
-/// draw, and the decode matches at thresholds above and below the stream's
-/// one-draw bound (valid_thresh = 1e-4 reads every anchor's logits).
+/// that then jumps past them.
+struct SsdStreams {
+  std::vector<graph::SyntheticSsdCls> cls;
+  std::vector<graph::SyntheticNormal> loc;
+
+  SsdStreams(const std::vector<Scale>& scales, int64_t bsz, int64_t c1,
+             Rng& rng) {
+    for (const Scale& s : scales) {
+      cls.emplace_back(rng, Shape{bsz, s.a * c1, s.h, s.w}, c1);
+      rng.discard(cls.back().draws());
+      loc.emplace_back(rng, 0.3f);
+      rng.discard(2 * static_cast<uint64_t>(bsz * s.a * 4 * s.h * s.w));
+    }
+  }
+
+  Tensor decode(const std::vector<Scale>& scales, int64_t bsz, int64_t c1,
+                const Tensor& anchors,
+                const MultiboxDetectionParams& p) const {
+    Tensor got = Tensor::full(Shape{bsz, anchors.shape()[0], 6}, -1.0f);
+    int64_t anchor_off = 0;
+    for (size_t i = 0; i < scales.size(); ++i) {
+      const Scale& s = scales[i];
+      SsdHeadView v;
+      v.loc = loc[i];
+      v.anchors_per_cell = s.a;
+      v.height = s.h;
+      v.width = s.w;
+      ssd_decode_head(cls[i], v, c1, anchor_off, anchors, p, got);
+      anchor_off += s.a * s.h * s.w;
+    }
+    return got;
+  }
+};
+
+/// Against heads filled in order from the same seed, the streams give
+/// every logit and delta of the eager fill, every finite gap bound holds on
+/// the logits it stands for, both generators end at the same draw, and the
+/// decode matches at thresholds above and below the stream's one-draw bound
+/// (valid_thresh = 1e-4 reads every anchor's logits).
 void expect_stream_decode_matches_eager(const std::vector<Scale>& scales,
                                         int64_t bsz, uint64_t seed) {
   const int64_t c1 = 21;
@@ -676,22 +728,11 @@ void expect_stream_decode_matches_eager(const std::vector<Scale>& scales,
     return random_anchors(total_anchors(scales), rng);
   }();
   Rng eager(seed);
-  std::vector<SsdHead> heads;
-  for (const Scale& s : scales) {
-    SsdHead h;
-    h.cls = synthesize_ssd_cls_eager(Shape{bsz, s.a * c1, s.h, s.w}, c1, eager);
-    h.loc = Tensor::random_normal(Shape{bsz, s.a * 4, s.h, s.w}, eager, 0.3f);
-    heads.push_back(std::move(h));
-  }
+  const std::vector<SsdHead> heads = eager_ssd_heads(scales, bsz, c1, eager);
   Rng lazy(seed);
-  std::vector<graph::SyntheticSsdCls> cls;
-  std::vector<graph::SyntheticNormal> loc;
-  for (const Scale& s : scales) {
-    cls.emplace_back(lazy, Shape{bsz, s.a * c1, s.h, s.w}, c1);
-    lazy.discard(cls.back().draws());
-    loc.emplace_back(lazy, 0.3f);
-    lazy.discard(2 * static_cast<uint64_t>(bsz * s.a * 4 * s.h * s.w));
-  }
+  const SsdStreams streams(scales, bsz, c1, lazy);
+  const auto& cls = streams.cls;
+  const auto& loc = streams.loc;
   EXPECT_EQ(eager.next_u64(), lazy.next_u64());
   std::vector<float> logit(static_cast<size_t>(c1));
   for (size_t i = 0; i < scales.size(); ++i) {
@@ -725,18 +766,7 @@ void expect_stream_decode_matches_eager(const std::vector<Scale>& scales,
   for (float thresh : {0.0f, 1e-4f, 0.01f, 0.5f}) {
     MultiboxDetectionParams p;
     p.nms.valid_thresh = thresh;
-    Tensor got = Tensor::full(Shape{bsz, anchors.shape()[0], 6}, -1.0f);
-    int64_t anchor_off = 0;
-    for (size_t i = 0; i < scales.size(); ++i) {
-      const Scale& s = scales[i];
-      SsdHeadView v;
-      v.loc = loc[i];
-      v.anchors_per_cell = s.a;
-      v.height = s.h;
-      v.width = s.w;
-      ssd_decode_head(cls[i], v, c1, anchor_off, anchors, p, got);
-      anchor_off += s.a * s.h * s.w;
-    }
+    const Tensor got = streams.decode(scales, bsz, c1, anchors, p);
     const Tensor want = assemble_and_decode(heads, c1, anchors, p);
     EXPECT_TRUE(same_bits(got, want))
         << "seed " << seed << " valid_thresh " << thresh;
@@ -1119,6 +1149,58 @@ TEST(YoloDecode, SubnormalThresholdKeepsRoundedUpScore) {
   const Tensor out = yolo_decode_reference(head, p);
   EXPECT_TRUE(same_bits(out, yolo_decode_full(head, p)));
   EXPECT_EQ(out.data_f32()[1], p.conf_thresh);
+}
+
+// Two engine workers serving detection tenants decode at the same time, each
+// splitting its decode over the global pool: SSD_MobileNet1.0's 512 stream
+// heads on one thread and YOLOv3's largest 512 head (64 x 64) on another,
+// three times each. Every result equals its eager-fill oracle.
+TEST(DetectionDecodes, ConcurrentCallersOnTheGlobalPoolMatchEagerFill) {
+  const int64_t c1 = 21;
+  const std::vector<Scale>& scales = kSsdMobileNet512;
+  const Tensor anchors = [&] {
+    Rng rng(5);
+    return random_anchors(total_anchors(scales), rng);
+  }();
+  const MultiboxDetectionParams sp;
+  Rng eager(0x55d);
+  const Tensor ssd_want = assemble_and_decode(
+      eager_ssd_heads(scales, /*bsz=*/1, c1, eager), c1, anchors, sp);
+  Rng lazy(0x55d);
+  const SsdStreams streams(scales, /*bsz=*/1, c1, lazy);
+
+  YoloDecodeParams yp;
+  yp.num_classes = 80;
+  yp.anchors = {{10, 13}, {16, 30}, {33, 23}};
+  yp.input_size = 512;
+  const Shape yolo_shape{1, 3 * 85, 64, 64};
+  Rng yolo_rng(0x7010);
+  const Tensor yolo_want =
+      yolo_decode_full(synthesize_yolo_head_eager(yolo_shape, yolo_rng), yp);
+  const graph::SyntheticYoloHead yolo_head{Rng(0x7010)};
+  EXPECT_GT(valid_rows(ssd_want), 0);
+  EXPECT_GT(valid_rows(yolo_want), 0);
+
+  std::atomic<int> ssd_matches{0};
+  std::atomic<int> yolo_matches{0};
+  std::thread ssd([&] {
+    for (int r = 0; r < 3; ++r) {
+      if (same_bits(streams.decode(scales, 1, c1, anchors, sp), ssd_want)) {
+        ssd_matches++;
+      }
+    }
+  });
+  std::thread yolo([&] {
+    for (int r = 0; r < 3; ++r) {
+      if (same_bits(yolo_decode_at(yolo_shape, yolo_head, yp), yolo_want)) {
+        yolo_matches++;
+      }
+    }
+  });
+  ssd.join();
+  yolo.join();
+  EXPECT_EQ(ssd_matches.load(), 3);
+  EXPECT_EQ(yolo_matches.load(), 3);
 }
 
 }  // namespace

@@ -104,24 +104,19 @@ RunResult CompiledModel::run(const RunOptions& opts) const {
            "build it with make_serving_context(batch, hw, pool)";
   } else if (opts.use_arena) {
     // The persistent context: its buffers are shared, so runs serialize on
-    // the model. It is built once with a private pool that keeps page runs
-    // cached across calls; a binding change re-sizes its planned buffers in
-    // place (pages are reused where they still fit).
+    // the model. Its arena owns a private pool and keeps page runs cached
+    // across calls; a binding change rebuilds it over the new plan.
     serving_lock = std::unique_lock<std::mutex>(serving_->mu);
     std::unique_ptr<ServingContext>& own = serving_->context;
-    if (own == nullptr) {
-      own = new_context(variant, std::make_shared<PagePool>(),
-                        /*cache_runs=*/true);
-    } else if (own->plan_ != plan) {
-      bind_context(*own, variant);
-      own->arena_->rebind(plan->buffer_bytes);
+    if (own == nullptr || own->plan_ != plan) {
+      own = new_context(variant, nullptr);
     }
     ctx = own.get();
   } else {
     // A per-call arena over the binding's compiled plan: pages come from the
     // model's pool and go back when the call ends, so concurrent calls do
     // not serialize and nothing is replanned.
-    per_call = new_context(variant, page_pool(), /*cache_runs=*/false);
+    per_call = new_context(variant, page_pool());
     ctx = per_call.get();
   }
   eopts.plan = ctx->plan_;
@@ -224,29 +219,22 @@ std::unique_ptr<ServingContext> CompiledModel::make_serving_context() const {
 
 std::unique_ptr<ServingContext> CompiledModel::make_serving_context(
     int64_t batch, int64_t input_hw, std::shared_ptr<PagePool> pool) const {
-  // Pages return to the shared pool per request (cache_runs off).
+  // Pages return to the shared pool per request.
   return new_context(resolve_variant(batch, input_hw),
-                     pool != nullptr ? std::move(pool) : page_pool(),
-                     /*cache_runs=*/false);
-}
-
-void CompiledModel::bind_context(ServingContext& ctx,
-                                 const ShapeVariant* variant) const {
-  const graph::ShapeSpec& spec = graph_.shape_spec();
-  ctx.plan_ = variant != nullptr ? &variant->plan : plan_.get();
-  ctx.batch_ = variant != nullptr ? variant->batch : spec.seed_batch;
-  ctx.hw_ = variant != nullptr ? variant->hw : spec.seed_hw;
+                     pool != nullptr ? std::move(pool) : page_pool());
 }
 
 std::unique_ptr<ServingContext> CompiledModel::new_context(
-    const ShapeVariant* variant, std::shared_ptr<PagePool> pool,
-    bool cache_runs) const {
+    const ShapeVariant* variant, std::shared_ptr<PagePool> pool) const {
   auto ctx = std::unique_ptr<ServingContext>(new ServingContext());
-  bind_context(*ctx, variant);
-  PagedArena::Options aopts;
-  aopts.cache_runs = cache_runs;
-  ctx->arena_ = std::make_unique<BufferArena>(ctx->plan_->buffer_bytes,
-                                              std::move(pool), aopts);
+  const graph::ShapeSpec& spec = graph_.shape_spec();
+  ctx->plan_ = variant != nullptr ? &variant->plan : plan_.get();
+  ctx->batch_ = variant != nullptr ? variant->batch : spec.seed_batch;
+  ctx->hw_ = variant != nullptr ? variant->hw : spec.seed_hw;
+  const std::vector<int64_t>& bytes = ctx->plan_->buffer_bytes;
+  ctx->arena_ = pool != nullptr
+                    ? std::make_unique<PagedArena>(bytes, std::move(pool))
+                    : std::make_unique<PagedArena>(bytes);
   return ctx;
 }
 

@@ -102,12 +102,13 @@ enum class RunBackend { kAuto, kInterp };
 /// by the call itself. A caller-owned context lets a pool of workers serve
 /// the same CompiledModel concurrently, each on its own context, without
 /// the model's mutex. Its arena draws pages from a shared PagePool and
-/// returns them between requests (cache_runs off), so contexts across
-/// workers and across tenant models recycle one physical page set instead
-/// of each holding a private full-size slab. The caller guarantees at most
-/// one run uses a given context at a time (a worker thread owning one
-/// context per tenant model satisfies this). Created by
-/// CompiledModel::make_serving_context(); it runs only on that model.
+/// returns them on every release (an arena caches page runs only on a pool
+/// it owns), so contexts across workers and across tenant models recycle
+/// one physical page set instead of each holding a private full-size slab.
+/// The caller guarantees at most one run uses a given context at a time (a
+/// worker thread owning one context per tenant model satisfies this).
+/// Created by CompiledModel::make_serving_context(); it runs only on that
+/// model.
 class ServingContext {
  public:
   int64_t arena_bytes() const;
@@ -124,7 +125,7 @@ class ServingContext {
   friend class CompiledModel;
   ServingContext() = default;
   const graph::MemoryPlan* plan_ = nullptr;  // owned by the model
-  std::unique_ptr<BufferArena> arena_;
+  std::unique_ptr<PagedArena> arena_;
   int64_t batch_ = 0;
   int64_t hw_ = 0;
 };
@@ -142,11 +143,14 @@ struct RunOptions {
   /// calling thread either way.
   graph::ExecMode mode = graph::ExecMode::kSequential;
   /// Which arena holds the intermediate tensors. On: the model's persistent
-  /// arena, whose private pool keeps page runs cached across calls, so
-  /// repeated runs perform no page traffic (steady-state serving); runs on
-  /// it serialize on the model. Off: a per-call arena over the binding's
-  /// compiled plan that borrows pages from page_pool() and returns them when
-  /// the call ends, so concurrent calls on one model do not serialize.
+  /// arena, which owns a private pool and keeps page runs cached across
+  /// calls. A repeated run still takes pages where a cached run cannot
+  /// serve: for a buffer whose last holder was a materialized alias
+  /// (Flatten, DeviceCopy), and for one whose run an alias still reads.
+  /// Runs on it serialize on the model; a binding change rebuilds it. Off: a
+  /// per-call arena over the binding's compiled plan that borrows pages from
+  /// page_pool() and returns them when the call ends, so concurrent calls on
+  /// one model do not serialize.
   bool use_arena = false;
   /// When set, the run starts a fresh trace on this recorder (model /
   /// platform / mode metadata) and records one span per executed node.
@@ -273,12 +277,11 @@ class CompiledModel {
   /// Resolves (and caches) the variant for a non-seed binding; null when the
   /// binding is the seed shape. Throws igc::Error on out-of-bounds bindings.
   const ShapeVariant* resolve_variant(int64_t batch, int64_t input_hw) const;
-  /// Points `ctx` at the plan and shape of `variant` (null = the seed).
-  void bind_context(ServingContext& ctx, const ShapeVariant* variant) const;
-  /// A context bound to `variant` whose arena draws pages from `pool`.
-  std::unique_ptr<ServingContext> new_context(const ShapeVariant* variant,
-                                              std::shared_ptr<PagePool> pool,
-                                              bool cache_runs) const;
+  /// A context bound to the plan and shape of `variant` (null = the seed)
+  /// whose arena draws pages from `pool` and returns them on every release;
+  /// a null `pool` gives the arena a private pool that caches page runs.
+  std::unique_ptr<ServingContext> new_context(
+      const ShapeVariant* variant, std::shared_ptr<PagePool> pool) const;
 
   std::string name_;
   graph::Graph graph_;

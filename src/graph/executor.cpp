@@ -124,7 +124,7 @@ class ExecutorImpl {
         << "ExecOptions: an arena but no plan — pass the MemoryPlan the "
            "arena was sized from (or neither, for a private per-run arena)";
     IGC_CHECK(!(opts_.arena == nullptr && opts_.plan != nullptr))
-        << "ExecOptions: a plan but no arena — pass the BufferArena sized "
+        << "ExecOptions: a plan but no arena — pass the PagedArena sized "
            "from the plan (or neither, for a private per-run arena)";
     if (opts_.plan != nullptr) {
       IGC_CHECK(static_cast<int>(opts_.plan->buffer_of_node.size()) ==
@@ -135,7 +135,7 @@ class ExecutorImpl {
              "different graph (node count mismatch)";
       IGC_CHECK_EQ(opts_.arena->num_buffers(),
                    static_cast<int>(opts_.plan->buffer_bytes.size()))
-          << "ExecOptions: the provided BufferArena was not sized from the "
+          << "ExecOptions: the provided PagedArena was not sized from the "
              "provided MemoryPlan (buffer count mismatch)";
     }
   }
@@ -442,12 +442,15 @@ class ExecutorImpl {
     return !n.inputs.empty();
   }
 
-  /// Views node `n`'s planned arena buffer as its output tensor.
+  /// Views node `n`'s planned arena buffer as its output tensor. The buffer
+  /// is recorded only once the acquire returns: a failed acquire (say, an
+  /// exhausted page budget) leaves nothing for the run's unwind to release.
   Tensor arena_acquire(const Node& n, const Shape& shape, DType dtype,
                        bool zero_fill) {
     const int buf = plan_->buffer_of_node[static_cast<size_t>(n.id)];
+    Tensor t = arena_->acquire(buf, shape, dtype, zero_fill);
     val(n.id).arena_buffer = buf;
-    return arena_->acquire(buf, shape, dtype, zero_fill);
+    return t;
   }
 
   /// Stores a shape-only placeholder output. Placeholder contents are never
@@ -904,9 +907,9 @@ class ExecutorImpl {
   // The run's storage: the caller's (plan, arena) pair, or the private one
   // setup_arena() builds when the caller passed none.
   std::optional<MemoryPlan> local_plan_;
-  std::optional<BufferArena> local_arena_;
+  std::optional<PagedArena> local_arena_;
   const MemoryPlan* plan_ = nullptr;
-  BufferArena* arena_ = nullptr;
+  PagedArena* arena_ = nullptr;
 
   /// Host wall-clock reference for trace dispatch times, and the hashed id
   /// of the thread every node runs on (traced runs only).

@@ -24,7 +24,7 @@
 // layout_block knob is its activation layout); the executor never consults a
 // tuning database. A conv without one runs the hand-written template in NCHW.
 //
-// Every node output lives in a plan-backed BufferArena (see
+// Every node output lives in a plan-backed PagedArena (see
 // src/tensor/arena.h): each node acquires the buffer its MemoryPlan assigns,
 // and after each node the run releases the values MemoryPlan::release_after
 // lists for it, so buffers are recycled across nodes within a run and, when
@@ -111,7 +111,7 @@ struct ExecOptions {
   /// Both or neither (validated at execute() entry): with neither, the run
   /// plans memory itself and builds a private arena; pass a persistent pair
   /// to reuse buffers across runs. Concurrent runs must not share one.
-  BufferArena* arena = nullptr;
+  PagedArena* arena = nullptr;
   const MemoryPlan* plan = nullptr;
 
   /// Host-JIT dispatch table for this graph (codegen/jit_lower.h). Nodes

@@ -1,5 +1,6 @@
 #include "tensor/arena.h"
 
+#include <algorithm>
 #include <cstring>
 
 #include "core/error.h"
@@ -23,25 +24,17 @@ obs::Gauge& high_water_gauge() {
       obs::MetricsRegistry::global().gauge("arena.high_water_bytes");
   return g;
 }
-obs::Counter& eviction_counter() {
-  static auto& c = obs::MetricsRegistry::global().counter("arena.evictions");
-  return c;
-}
 
 }  // namespace
 
 PagedArena::PagedArena(std::vector<int64_t> buffer_bytes)
-    : pool_(std::make_shared<PagePool>()) {
+    : pool_(std::make_shared<PagePool>()), owns_pool_(true) {
   init(std::move(buffer_bytes));
 }
 
 PagedArena::PagedArena(std::vector<int64_t> buffer_bytes,
                        std::shared_ptr<PagePool> pool)
-    : PagedArena(std::move(buffer_bytes), std::move(pool), Options{}) {}
-
-PagedArena::PagedArena(std::vector<int64_t> buffer_bytes,
-                       std::shared_ptr<PagePool> pool, Options opts)
-    : pool_(std::move(pool)), opts_(opts) {
+    : pool_(std::move(pool)) {
   IGC_CHECK(pool_ != nullptr) << "PagedArena: shared pool must not be null";
   init(std::move(buffer_bytes));
 }
@@ -55,12 +48,10 @@ void PagedArena::init(std::vector<int64_t> buffer_bytes) {
     bufs_.push_back(std::move(e));
     capacity_bytes_ += bytes;
   }
-  hook_id_ = pool_->register_pressure_hook([this] { evict_idle(); });
 }
 
 PagedArena::~PagedArena() {
-  pool_->unregister_pressure_hook(hook_id_);
-  std::lock_guard<std::recursive_mutex> lock(mu_);
+  std::lock_guard<std::mutex> lock(mu_);
   for (Entry& e : bufs_) {
     if (!e.run.empty()) pool_->release(e.run);
     e.run = {};
@@ -84,7 +75,7 @@ Tensor PagedArena::acquire(int buffer_id, const Shape& shape, DType dtype,
   Tensor t;
   int64_t in_use_now = 0;
   {
-    std::lock_guard<std::recursive_mutex> lock(mu_);
+    std::lock_guard<std::mutex> lock(mu_);
     Entry& e = entry_locked(buffer_id);
     IGC_CHECK(!e.in_use) << "arena buffer " << buffer_id
                          << " acquired while in use";
@@ -96,8 +87,8 @@ Tensor PagedArena::acquire(int buffer_id, const Shape& shape, DType dtype,
     if (!e.run.empty() &&
         (pool_->refcount(e.run) > 1 || pool_->run_bytes(e.run) < need)) {
       // The cached run is still read through an alias (copy-on-reacquire),
-      // or is too small after a rebind/overshoot: take fresh pages and let
-      // the old run die with its last reference.
+      // or is too small for a data-dependent overshoot: take fresh pages and
+      // let the old run die with its last reference.
       pool_->release(e.run);
       e.run = {};
     }
@@ -121,7 +112,7 @@ Tensor PagedArena::acquire_shared(int buffer_id, int src_buffer_id,
   Tensor t;
   int64_t in_use_now = 0;
   {
-    std::lock_guard<std::recursive_mutex> lock(mu_);
+    std::lock_guard<std::mutex> lock(mu_);
     Entry& e = entry_locked(buffer_id);
     Entry& src = entry_locked(src_buffer_id);
     IGC_CHECK(!e.in_use) << "arena buffer " << buffer_id
@@ -155,7 +146,7 @@ Tensor PagedArena::acquire_shared(int buffer_id, int src_buffer_id,
 
 void PagedArena::release(int buffer_id) {
   {
-    std::lock_guard<std::recursive_mutex> lock(mu_);
+    std::lock_guard<std::mutex> lock(mu_);
     Entry& e = entry_locked(buffer_id);
     IGC_CHECK(e.in_use)
         << "arena buffer " << buffer_id
@@ -164,7 +155,7 @@ void PagedArena::release(int buffer_id) {
     in_use_ -= e.charged;
     e.charged = 0;
     e.in_use = false;
-    if (e.borrowed || !opts_.cache_runs) {
+    if (e.borrowed || !owns_pool_) {
       pool_->release(e.run);
       e.run = {};
       e.borrowed = false;
@@ -173,74 +164,33 @@ void PagedArena::release(int buffer_id) {
   release_counter().add(1);
 }
 
-void PagedArena::rebind(std::vector<int64_t> buffer_bytes) {
-  std::lock_guard<std::recursive_mutex> lock(mu_);
-  IGC_CHECK_EQ(in_use_, 0)
-      << "PagedArena::rebind while buffers are in use";
-  IGC_CHECK_EQ(buffer_bytes.size(), bufs_.size())
-      << "PagedArena::rebind with a different buffer count — the plan's "
-         "buffer assignment is shape-independent, only sizes change";
-  capacity_bytes_ = 0;
-  for (size_t i = 0; i < bufs_.size(); ++i) {
-    Entry& e = bufs_[i];
-    IGC_CHECK_GE(buffer_bytes[i], 0);
-    e.bytes = buffer_bytes[i];
-    capacity_bytes_ += e.bytes;
-    if (!e.run.empty() && pool_->run_bytes(e.run) < e.bytes) {
-      pool_->release(e.run);
-      e.run = {};
-    }
-  }
-}
-
-int PagedArena::evict_idle() {
-  int dropped = 0;
-  {
-    std::lock_guard<std::recursive_mutex> lock(mu_);
-    for (Entry& e : bufs_) {
-      if (e.in_use || e.run.empty()) continue;
-      pool_->release(e.run);
-      e.run = {};
-      ++dropped;
-    }
-    evictions_ += dropped;
-  }
-  if (dropped > 0) eviction_counter().add(dropped);
-  return dropped;
-}
-
 int64_t PagedArena::capacity_bytes() const {
-  std::lock_guard<std::recursive_mutex> lock(mu_);
+  std::lock_guard<std::mutex> lock(mu_);
   return capacity_bytes_;
 }
 
 int64_t PagedArena::in_use_bytes() const {
-  std::lock_guard<std::recursive_mutex> lock(mu_);
+  std::lock_guard<std::mutex> lock(mu_);
   return in_use_;
 }
 
 int64_t PagedArena::peak_in_use_bytes() const {
-  std::lock_guard<std::recursive_mutex> lock(mu_);
+  std::lock_guard<std::mutex> lock(mu_);
   return peak_;
 }
 
 void PagedArena::reset_peak() {
-  std::lock_guard<std::recursive_mutex> lock(mu_);
+  std::lock_guard<std::mutex> lock(mu_);
   peak_ = in_use_;
 }
 
 int64_t PagedArena::page_bytes_held() const {
-  std::lock_guard<std::recursive_mutex> lock(mu_);
+  std::lock_guard<std::mutex> lock(mu_);
   int64_t held = 0;
   for (const Entry& e : bufs_) {
     if (!e.run.empty() && !e.borrowed) held += pool_->run_bytes(e.run);
   }
   return held;
-}
-
-int64_t PagedArena::evictions() const {
-  std::lock_guard<std::recursive_mutex> lock(mu_);
-  return evictions_;
 }
 
 }  // namespace igc

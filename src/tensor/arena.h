@@ -7,15 +7,17 @@
 // after the node's last consumer. Pages are allocated lazily on first
 // acquire, so untouched buffers cost nothing.
 //
-// Two sharing regimes, selected by Options::cache_runs:
-//   * cache_runs on (default, the slab-equivalent regime): a buffer keeps
-//     its page run across release, so steady-state serving performs zero
-//     pool traffic — exactly the old slab arena's behaviour, and the one a
-//     model-wide arena uses.
-//   * cache_runs off (serving contexts over a shared pool): release returns
-//     pages to the pool immediately, so concurrent requests — across
-//     workers and across tenants — recycle one physical page set instead of
-//     each holding a private full-size slab.
+// One rule decides whether a buffer keeps its pages across release: an
+// arena caches page runs only on a pool it owns.
+//   * PagedArena(buffer_bytes) owns an unbounded private pool and caches: a
+//     buffer keeps its page run across release, so a repeated run takes
+//     pages only where a cached run cannot serve (an alias still reads it,
+//     or a data-dependent output outgrew it). This is the old slab arena's
+//     behaviour, and the one a model's persistent context uses.
+//   * PagedArena(buffer_bytes, pool) draws from a caller's pool, which may
+//     back any number of arenas, and returns the pages on every release, so
+//     concurrent requests — across workers and across tenants — recycle one
+//     physical page set instead of each holding a private full-size slab.
 //
 // acquire_shared() aliases another in-use buffer's pages with a refcount
 // (zero-copy Flatten/DeviceCopy); a later acquire of the source buffer sees
@@ -30,12 +32,9 @@
 // arena.page_* metrics and the PagePool stats.
 //
 // Thread safety: one run's nodes call acquire/release from the thread that
-// runs them, but the arena is still mutex-guarded: a shared pool's pressure
-// hook calls evict_idle() from whichever thread's allocation ran the pool
-// short. Two *runs* sharing one arena must still be externally serialized
-// (the buffers themselves would alias). The mutex is recursive because a
-// pool pressure hook may re-enter evict_idle() from this arena's own alloc
-// path.
+// runs them; the arena is mutex-guarded so its statistics may be read from
+// any thread. Two *runs* sharing one arena must still be externally
+// serialized (the buffers themselves would alias).
 #pragma once
 
 #include <cstdint>
@@ -50,22 +49,14 @@ namespace igc {
 
 class PagedArena {
  public:
-  struct Options {
-    /// Keep page runs mapped across release (see file comment).
-    bool cache_runs = true;
-  };
-
-  /// Private-pool arena: one buffer per entry of `buffer_bytes`, pages drawn
-  /// from an unbounded pool owned by this arena (the slab-compatible form).
+  /// Caching arena: one buffer per entry of `buffer_bytes`, pages drawn
+  /// from an unbounded pool owned by this arena, kept across release.
   explicit PagedArena(std::vector<int64_t> buffer_bytes);
 
   /// Shared-pool arena: pages drawn from `pool` (never null), which may back
-  /// any number of arenas. Serving contexts pass cache_runs = false so their
-  /// pages return to the pool between requests.
+  /// any number of arenas, and returned to it on every release.
   PagedArena(std::vector<int64_t> buffer_bytes,
              std::shared_ptr<PagePool> pool);
-  PagedArena(std::vector<int64_t> buffer_bytes, std::shared_ptr<PagePool> pool,
-             Options opts);
 
   ~PagedArena();
 
@@ -93,15 +84,6 @@ class PagedArena {
   /// the last reader is done.
   void release(int buffer_id);
 
-  /// Re-sizes every planned buffer for a new shape binding (same buffer
-  /// count — the plan's buffer *assignment* is shape-independent). Requires
-  /// no buffer in use; cached runs too small for their new size are dropped.
-  void rebind(std::vector<int64_t> buffer_bytes);
-
-  /// Drops cached idle page runs back to the pool (the eviction/pressure
-  /// path; also called by the pool's pressure hook). Returns runs dropped.
-  int evict_idle();
-
   int num_buffers() const { return static_cast<int>(bufs_.size()); }
   /// Sum of all planned buffer sizes (== the bound MemoryPlan total).
   int64_t capacity_bytes() const;
@@ -112,8 +94,6 @@ class PagedArena {
   void reset_peak();
   /// Bytes of pages this arena currently holds (in-use + cached).
   int64_t page_bytes_held() const;
-  /// Cached runs dropped by evict_idle() over this arena's lifetime.
-  int64_t evictions() const;
   const std::shared_ptr<PagePool>& pool() const { return pool_; }
 
  private:
@@ -130,19 +110,13 @@ class PagedArena {
   Tensor wrap_run(const PagePool::PageRun& run, const Shape& shape,
                   DType dtype) const;
 
-  mutable std::recursive_mutex mu_;
+  mutable std::mutex mu_;
   std::shared_ptr<PagePool> pool_;
-  Options opts_;
+  bool owns_pool_ = false;  // caches page runs across release
   std::vector<Entry> bufs_;
   int64_t capacity_bytes_ = 0;
   int64_t in_use_ = 0;
   int64_t peak_ = 0;
-  int64_t evictions_ = 0;
-  int hook_id_ = -1;
 };
-
-/// The arena every existing call site uses; the paged design keeps the whole
-/// acquire/release surface (and its accounting) of the original slab arena.
-using BufferArena = PagedArena;
 
 }  // namespace igc

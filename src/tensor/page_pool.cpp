@@ -32,9 +32,7 @@ obs::Gauge& page_bytes_gauge() {
 PagePool::PagePool() : PagePool(Options{}) {}
 
 PagePool::PagePool(Options opts) : opts_(opts) {
-  IGC_CHECK_GT(opts_.page_bytes, 0) << "PagePool: page_bytes must be positive";
   IGC_CHECK_GE(opts_.max_bytes, 0);
-  IGC_CHECK_GT(opts_.min_extent_pages, 0);
 }
 
 PagePool::~PagePool() = default;
@@ -58,9 +56,9 @@ PagePool::PageRun PagePool::try_alloc_locked(int32_t pages_needed) {
   }
   // No hole fits: map a new extent.
   Extent ext;
-  ext.num_pages = std::max<int64_t>(pages_needed, opts_.min_extent_pages);
+  ext.num_pages = std::max<int64_t>(pages_needed, kMinExtentPages);
   ext.data = std::shared_ptr<char[]>(
-      new char[static_cast<size_t>(ext.num_pages * opts_.page_bytes)]);
+      new char[static_cast<size_t>(ext.num_pages * kPageBytes)]);
   PageRun run;
   run.extent = static_cast<int32_t>(extents_.size());
   run.first_page = 0;
@@ -74,7 +72,7 @@ PagePool::PageRun PagePool::try_alloc_locked(int32_t pages_needed) {
 }
 
 void PagePool::note_usage_locked() {
-  const int64_t bytes = pages_in_use_ * opts_.page_bytes;
+  const int64_t bytes = pages_in_use_ * kPageBytes;
   peak_bytes_ = std::max(peak_bytes_, bytes);
   pages_in_use_gauge().set(pages_in_use_);
   page_bytes_gauge().set(bytes);
@@ -83,39 +81,21 @@ void PagePool::note_usage_locked() {
 PagePool::PageRun PagePool::alloc(int64_t min_bytes) {
   IGC_CHECK_GE(min_bytes, 0);
   const int64_t pages64 =
-      std::max<int64_t>(1, (min_bytes + opts_.page_bytes - 1) / opts_.page_bytes);
+      std::max<int64_t>(1, (min_bytes + kPageBytes - 1) / kPageBytes);
   IGC_CHECK_LE(pages64, INT32_MAX) << "PagePool: allocation too large";
   const int32_t pages_needed = static_cast<int32_t>(pages64);
 
-  // Budget check, with one unlocked pressure-eviction round: hooks release
-  // cached runs (calling back into release()), so they must run without mu_.
-  if (opts_.max_bytes > 0) {
-    bool over;
-    std::vector<std::function<void()>> hooks;
-    {
-      std::lock_guard<std::mutex> lock(mu_);
-      over = (pages_in_use_ + pages_needed) * opts_.page_bytes > opts_.max_bytes;
-      if (over) {
-        hooks.reserve(hooks_.size());
-        for (auto& [id, h] : hooks_) hooks.push_back(h);
-      }
-    }
-    if (over) {
-      for (auto& h : hooks) h();
-      std::lock_guard<std::mutex> lock(mu_);
-      IGC_CHECK_LE((pages_in_use_ + pages_needed) * opts_.page_bytes,
-                   opts_.max_bytes)
-          << "PagePool: page budget exhausted — " << pages_needed
-          << " pages requested with "
-          << (opts_.max_bytes / opts_.page_bytes - pages_in_use_)
-          << " pages of budget left after eviction (max_bytes="
-          << opts_.max_bytes << ")";
-    }
-  }
-
   PageRun run;
   {
+    // The budget check and the allocation share one critical section, so
+    // two allocations can never both pass the check and overshoot together.
     std::lock_guard<std::mutex> lock(mu_);
+    IGC_CHECK(opts_.max_bytes == 0 ||
+              (pages_in_use_ + pages_needed) * kPageBytes <= opts_.max_bytes)
+        << "PagePool: page budget exhausted — " << pages_needed
+        << " pages requested with "
+        << (opts_.max_bytes / kPageBytes - pages_in_use_)
+        << " pages of budget left (max_bytes=" << opts_.max_bytes << ")";
     run = try_alloc_locked(pages_needed);
     live_[run_key(run)] = LiveRun{pages_needed, 1};
     pages_in_use_ += pages_needed;
@@ -181,24 +161,12 @@ std::shared_ptr<char[]> PagePool::run_data(const PageRun& run) const {
   IGC_CHECK_LE(static_cast<int64_t>(run.first_page) + run.num_pages,
                ext.num_pages);
   return std::shared_ptr<char[]>(
-      ext.data, ext.data.get() + run.first_page * opts_.page_bytes);
-}
-
-int PagePool::register_pressure_hook(std::function<void()> hook) {
-  std::lock_guard<std::mutex> lock(mu_);
-  const int id = next_hook_id_++;
-  hooks_.emplace(id, std::move(hook));
-  return id;
-}
-
-void PagePool::unregister_pressure_hook(int id) {
-  std::lock_guard<std::mutex> lock(mu_);
-  hooks_.erase(id);
+      ext.data, ext.data.get() + run.first_page * kPageBytes);
 }
 
 int64_t PagePool::bytes_in_use() const {
   std::lock_guard<std::mutex> lock(mu_);
-  return pages_in_use_ * opts_.page_bytes;
+  return pages_in_use_ * kPageBytes;
 }
 
 int64_t PagePool::peak_bytes_in_use() const {
@@ -214,7 +182,7 @@ int64_t PagePool::pages_in_use() const {
 int64_t PagePool::extent_bytes() const {
   std::lock_guard<std::mutex> lock(mu_);
   int64_t total = 0;
-  for (const Extent& e : extents_) total += e.num_pages * opts_.page_bytes;
+  for (const Extent& e : extents_) total += e.num_pages * kPageBytes;
   return total;
 }
 
@@ -230,7 +198,7 @@ int64_t PagePool::total_page_frees() const {
 
 void PagePool::reset_peak() {
   std::lock_guard<std::mutex> lock(mu_);
-  peak_bytes_ = pages_in_use_ * opts_.page_bytes;
+  peak_bytes_ = pages_in_use_ * kPageBytes;
 }
 
 }  // namespace igc

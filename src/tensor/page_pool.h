@@ -14,20 +14,17 @@
 // a per-context slab design cannot do. add_ref/release let two logical
 // buffers alias one run (zero-copy Flatten/DeviceCopy under the arena).
 //
-// Pressure: Options::max_bytes bounds the bytes held by live (refcounted)
-// runs. An allocation that would exceed the budget first invokes the
-// registered pressure hooks — arenas respond by dropping their cached idle
-// runs — and only fails (igc::Error) if the budget is still exceeded after
-// eviction. Hooks are invoked without the pool lock held, so a hook may call
-// back into release() freely.
+// Budget: Options::max_bytes bounds the bytes held by live (refcounted)
+// runs. An allocation that would exceed it throws igc::Error; the check and
+// the allocation share one critical section, so concurrent allocations never
+// overshoot the budget together.
 //
-// Thread safety: all methods are mutex-guarded; hooks run unlocked (see
-// above). Metrics: arena.page_allocs / arena.page_frees / arena.pages_in_use
-// / arena.page_bytes are recorded process-wide on every transition.
+// Thread safety: all methods are mutex-guarded. Metrics: arena.page_allocs /
+// arena.page_frees / arena.pages_in_use / arena.page_bytes are recorded
+// process-wide on every transition.
 #pragma once
 
 #include <cstdint>
-#include <functional>
 #include <map>
 #include <memory>
 #include <mutex>
@@ -37,14 +34,15 @@ namespace igc {
 
 class PagePool {
  public:
+  /// Page granularity. Runs are rounded up to whole pages.
+  static constexpr int64_t kPageBytes = 64 * 1024;
+  /// Minimum pages per mapped extent (small allocations share extents).
+  static constexpr int64_t kMinExtentPages = 64;
+
   struct Options {
-    /// Page granularity. Runs are rounded up to whole pages.
-    int64_t page_bytes = 64 * 1024;
-    /// Budget on bytes held by live runs (0 = unbounded). Exceeding it
-    /// triggers the pressure hooks, then igc::Error if still over.
+    /// Budget on bytes held by live runs (0 = unbounded). An alloc() that
+    /// would exceed it throws igc::Error.
     int64_t max_bytes = 0;
-    /// Minimum pages per mapped extent (small allocations share extents).
-    int64_t min_extent_pages = 64;
   };
 
   /// A contiguous span of pages inside one extent. Value handle: copying it
@@ -64,6 +62,7 @@ class PagePool {
   PagePool& operator=(const PagePool&) = delete;
 
   /// Allocates a run covering at least `min_bytes` (>= 1 page), refcount 1.
+  /// Throws igc::Error when the run would take the pool past max_bytes.
   PageRun alloc(int64_t min_bytes);
   void add_ref(const PageRun& run);
   /// Drops one reference; the run's pages return to the free pool at zero.
@@ -73,16 +72,10 @@ class PagePool {
   /// Storage of `run`, as a shared_ptr aliasing the extent (the extent stays
   /// mapped while any tensor still views it, even across a free/re-alloc).
   std::shared_ptr<char[]> run_data(const PageRun& run) const;
-  int64_t run_bytes(const PageRun& run) const {
-    return static_cast<int64_t>(run.num_pages) * opts_.page_bytes;
+  static int64_t run_bytes(const PageRun& run) {
+    return static_cast<int64_t>(run.num_pages) * kPageBytes;
   }
-  int64_t page_bytes() const { return opts_.page_bytes; }
   int64_t max_bytes() const { return opts_.max_bytes; }
-
-  /// Registers a pressure hook (called, unlocked, when alloc() would exceed
-  /// max_bytes). Returns an id for unregister_pressure_hook().
-  int register_pressure_hook(std::function<void()> hook);
-  void unregister_pressure_hook(int id);
 
   // ----- statistics ---------------------------------------------------------
   /// Bytes held by live (refcounted) runs right now.
@@ -121,8 +114,6 @@ class PagePool {
   mutable std::mutex mu_;
   std::vector<Extent> extents_;
   std::map<int64_t, LiveRun> live_;
-  std::map<int, std::function<void()>> hooks_;
-  int next_hook_id_ = 0;
   int64_t pages_in_use_ = 0;
   int64_t peak_bytes_ = 0;
   int64_t total_allocs_ = 0;

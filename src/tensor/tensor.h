@@ -33,7 +33,7 @@ class Tensor {
   static Tensor random_normal(Shape shape, Rng& rng, float stddev = 0.1f);
   static Tensor from_vector(Shape shape, const std::vector<float>& values);
   static Tensor from_vector_i32(Shape shape, const std::vector<int32_t>& values);
-  /// Views caller-owned storage (e.g. a BufferArena slab) as a tensor.
+  /// Views caller-owned storage (e.g. a PagedArena page run) as a tensor.
   /// `capacity_bytes` is the usable size of `data`; it must fit the shape.
   static Tensor wrap(Shape shape, DType dtype, std::shared_ptr<char[]> data,
                      int64_t capacity_bytes);

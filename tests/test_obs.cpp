@@ -571,7 +571,7 @@ TEST(Executor, ArenaOptionInvariantsAreValidatedUpFront) {
   graph::optimize(m2.graph);
   const graph::MemoryPlan plan1 = graph::plan_memory(m1.graph);
   const graph::MemoryPlan plan2 = graph::plan_memory(m2.graph);
-  BufferArena arena1(plan1.buffer_bytes);
+  PagedArena arena1(plan1.buffer_bytes);
   const sim::Platform& plat = sim::platform(sim::PlatformId::kDeepLens);
 
   graph::ExecOptions opts;
@@ -595,7 +595,7 @@ TEST(Executor, ArenaOptionInvariantsAreValidatedUpFront) {
   // Arena not sized from the provided plan.
   std::vector<int64_t> truncated(plan1.buffer_bytes.begin(),
                                  plan1.buffer_bytes.end() - 1);
-  BufferArena bad_arena(truncated);
+  PagedArena bad_arena(truncated);
   opts.arena = &bad_arena;
   opts.plan = &plan1;
   { Rng r(1); EXPECT_THROW(graph::execute(m1.graph, plat, opts, r), Error); }

@@ -1,9 +1,12 @@
 // Tests for the paged buffer arena and the dynamic-shape execution path:
 //   * PagePool mechanics — page rounding, first-fit reuse with coalescing,
-//     refcounted runs, budget pressure, stats;
+//     refcounted runs, stats, and a page budget that holds under concurrent
+//     allocation;
 //   * PagedArena — slab-compatible planned-bytes accounting, double-release
-//     hard errors, lazy pages, run caching + eviction, zero-copy aliasing
-//     with copy-on-reacquire;
+//     hard errors, lazy pages, run caching only on a pool the arena owns,
+//     zero-copy aliasing with copy-on-reacquire, a run that exhausts its
+//     page budget failing with the pool's error and unwinding cleanly, and
+//     each storage owner's steady-state page traffic;
 //   * cross-context page sharing — serving contexts over one shared pool
 //     recycle a single physical page set (peak < 2x single-context peak),
 //     including across mixed-resolution tenants;
@@ -65,41 +68,38 @@ void expect_bit_identical(const Tensor& a, const Tensor& b,
 
 // ----- PagePool -------------------------------------------------------------
 
+constexpr int64_t kPage = PagePool::kPageBytes;
+
 TEST(PagePool, RunsAreWholePagesAndFreedPagesAreReusedFirstFit) {
-  PagePool::Options popts;
-  popts.page_bytes = 1024;
-  popts.min_extent_pages = 16;
-  PagePool pool(popts);
+  PagePool pool;
 
   const PagePool::PageRun a = pool.alloc(1);  // rounds up to one page
-  EXPECT_EQ(pool.run_bytes(a), 1024);
-  const PagePool::PageRun b = pool.alloc(3000);  // three pages
-  EXPECT_EQ(pool.run_bytes(b), 3 * 1024);
+  EXPECT_EQ(pool.run_bytes(a), kPage);
+  const PagePool::PageRun b = pool.alloc(2 * kPage + 1);  // three pages
+  EXPECT_EQ(pool.run_bytes(b), 3 * kPage);
   EXPECT_EQ(pool.pages_in_use(), 4);
-  EXPECT_EQ(pool.bytes_in_use(), 4 * 1024);
-  // Both fit in the first extent (min_extent_pages).
-  EXPECT_EQ(pool.extent_bytes(), 16 * 1024);
+  EXPECT_EQ(pool.bytes_in_use(), 4 * kPage);
+  // Both fit in the first extent (kMinExtentPages).
+  EXPECT_EQ(pool.extent_bytes(), PagePool::kMinExtentPages * kPage);
 
   // Free-run coalescing: after releasing both, one 4-page hole exists and a
   // 4-page run fits exactly where a and b were.
   pool.release(a);
   pool.release(b);
   EXPECT_EQ(pool.pages_in_use(), 0);
-  const PagePool::PageRun c = pool.alloc(4 * 1024);
+  const PagePool::PageRun c = pool.alloc(4 * kPage);
   EXPECT_EQ(c.extent, a.extent);
   EXPECT_EQ(c.first_page, a.first_page);
   pool.release(c);
 
   EXPECT_EQ(pool.total_page_allocs(), 4 + 4);
   EXPECT_EQ(pool.total_page_frees(), 4 + 4);
-  EXPECT_EQ(pool.peak_bytes_in_use(), 4 * 1024);
+  EXPECT_EQ(pool.peak_bytes_in_use(), 4 * kPage);
 }
 
 TEST(PagePool, RefcountedRunsSurviveUntilTheLastRelease) {
-  PagePool::Options popts;
-  popts.page_bytes = 512;
-  PagePool pool(popts);
-  const PagePool::PageRun r = pool.alloc(512);
+  PagePool pool;
+  const PagePool::PageRun r = pool.alloc(kPage);
   EXPECT_EQ(pool.refcount(r), 1);
   pool.add_ref(r);
   EXPECT_EQ(pool.refcount(r), 2);
@@ -110,35 +110,49 @@ TEST(PagePool, RefcountedRunsSurviveUntilTheLastRelease) {
   EXPECT_EQ(pool.pages_in_use(), 0);
 }
 
-TEST(PagePool, BudgetTriggersPressureHooksThenThrows) {
+TEST(PagePool, BudgetHoldsUnderConcurrentAllocation) {
+  // Threads allocate, hold and release 2-page runs under a 4-page budget.
+  // Every alloc is granted or refused with igc::Error, and the pool never
+  // holds more than its budget, however the threads interleave.
   PagePool::Options popts;
-  popts.page_bytes = 1024;
-  popts.max_bytes = 4 * 1024;
-  popts.min_extent_pages = 4;
+  popts.max_bytes = 4 * kPage;
   PagePool pool(popts);
 
-  // A hook that releases a cached run on demand (what PagedArena does).
-  PagePool::PageRun cached = pool.alloc(2 * 1024);
-  int hook_calls = 0;
-  const int id = pool.register_pressure_hook([&] {
-    ++hook_calls;
-    if (!cached.empty()) {
-      pool.release(cached);
-      cached = {};
-    }
-  });
+  constexpr int kThreads = 8;
+  constexpr int kAttempts = 2000;
+  std::vector<int64_t> granted(kThreads, 0), refused(kThreads, 0),
+      other(kThreads, 0);
+  std::vector<std::thread> threads;
+  for (int w = 0; w < kThreads; ++w) {
+    threads.emplace_back([&, w] {
+      for (int i = 0; i < kAttempts; ++i) {
+        try {
+          const PagePool::PageRun run = pool.alloc(2 * kPage);
+          ++granted[w];
+          for (int spin = 0; spin < 64; ++spin) std::this_thread::yield();
+          pool.release(run);
+        } catch (const Error&) {
+          ++refused[w];
+        } catch (...) {
+          ++other[w];
+        }
+      }
+    });
+  }
+  for (std::thread& t : threads) t.join();
 
-  // 3 more pages would exceed the 4-page budget; the hook's eviction of the
-  // 2 cached pages makes room.
-  const PagePool::PageRun big = pool.alloc(3 * 1024);
-  EXPECT_EQ(hook_calls, 1);
-  EXPECT_TRUE(cached.empty());
-  EXPECT_EQ(pool.pages_in_use(), 3);
-
-  // Now nothing is evictable: exceeding the budget is a hard error.
-  EXPECT_THROW(pool.alloc(2 * 1024), Error);
-  pool.release(big);
-  pool.unregister_pressure_hook(id);
+  int64_t total_granted = 0, total_refused = 0, total_other = 0;
+  for (int w = 0; w < kThreads; ++w) {
+    total_granted += granted[w];
+    total_refused += refused[w];
+    total_other += other[w];
+  }
+  EXPECT_EQ(total_other, 0);
+  EXPECT_EQ(total_granted + total_refused,
+            static_cast<int64_t>(kThreads) * kAttempts);
+  EXPECT_GT(total_granted, 0);
+  EXPECT_LE(pool.peak_bytes_in_use(), popts.max_bytes);
+  EXPECT_EQ(pool.bytes_in_use(), 0);
 }
 
 // ----- PagedArena -----------------------------------------------------------
@@ -177,9 +191,9 @@ TEST(PagedArena, DoubleReleaseAndReleaseBeforeAcquireAreHardErrors) {
   arena.release(0);
 }
 
-TEST(PagedArena, PagesAreLazyCachedAcrossReleaseAndEvictable) {
-  auto pool = std::make_shared<PagePool>();
-  PagedArena arena({64 * 1024, 64 * 1024}, pool);
+TEST(PagedArena, PagesAreLazyAndCachedAcrossReleaseOnAnOwnedPool) {
+  PagedArena arena({kPage, kPage});
+  const std::shared_ptr<PagePool>& pool = arena.pool();
   EXPECT_EQ(arena.page_bytes_held(), 0);  // nothing allocated yet
 
   Tensor t = arena.acquire(0, Shape{64}, DType::kFloat32, false);
@@ -187,22 +201,20 @@ TEST(PagedArena, PagesAreLazyCachedAcrossReleaseAndEvictable) {
   EXPECT_GT(held, 0);
   EXPECT_EQ(pool->bytes_in_use(), held);
   arena.release(0);
-  // cache_runs (default): the run stays mapped for the next acquire...
+  // The arena owns its pool, so the run stays mapped for the next acquire,
+  // which takes no new pages.
   EXPECT_EQ(arena.page_bytes_held(), held);
-  // ...and evict_idle() drops it back to the pool.
-  EXPECT_EQ(arena.evict_idle(), 1);
-  EXPECT_EQ(arena.page_bytes_held(), 0);
-  EXPECT_EQ(pool->bytes_in_use(), 0);
-  EXPECT_EQ(arena.evictions(), 1);
+  t = arena.acquire(0, Shape{64}, DType::kFloat32, false);
+  arena.release(0);
+  EXPECT_EQ(arena.page_bytes_held(), held);
   // Buffer 1 was never touched: it never cost a page.
-  EXPECT_EQ(pool->total_page_allocs(), held / pool->page_bytes());
+  EXPECT_EQ(pool->total_page_allocs(), held / kPage);
 }
 
 TEST(PagedArena, UncachedArenasReturnPagesToThePoolOnRelease) {
+  // An arena over a caller's pool returns its pages on every release.
   auto pool = std::make_shared<PagePool>();
-  PagedArena::Options aopts;
-  aopts.cache_runs = false;
-  PagedArena arena({8 * 1024}, pool, aopts);
+  PagedArena arena({8 * 1024}, pool);
   Tensor t = arena.acquire(0, Shape{32}, DType::kFloat32, false);
   EXPECT_GT(pool->bytes_in_use(), 0);
   arena.release(0);
@@ -211,8 +223,9 @@ TEST(PagedArena, UncachedArenasReturnPagesToThePoolOnRelease) {
 }
 
 TEST(PagedArena, SharedAcquireAliasesPagesAndCopyOnReacquireProtectsReaders) {
-  auto pool = std::make_shared<PagePool>();
-  PagedArena arena({4096, 4096}, pool);
+  // A caching arena: buffer 0 keeps its run across release, so only the
+  // alias's outstanding reference keeps the next acquire off those pages.
+  PagedArena arena({4096, 4096});
 
   Tensor src = arena.acquire(0, Shape{16}, DType::kFloat32, false);
   for (int i = 0; i < 16; ++i) src.data_f32()[i] = static_cast<float>(i);
@@ -236,56 +249,99 @@ TEST(PagedArena, SharedAcquireAliasesPagesAndCopyOnReacquireProtectsReaders) {
 
 TEST(PagedArena, OversizeAcquireGrowsTheRunAndRespectsThePoolBudget) {
   PagePool::Options popts;
-  popts.page_bytes = 1024;
-  popts.max_bytes = 8 * 1024;
-  popts.min_extent_pages = 8;
+  popts.max_bytes = 4 * kPage;
   auto pool = std::make_shared<PagePool>(popts);
-  PagedArena arena({1024}, pool);
+  PagedArena arena({kPage}, pool);
 
   // Data-dependent output larger than the planned bytes: the run grows.
-  Tensor big = arena.acquire(0, Shape{1024}, DType::kFloat32, false);
-  EXPECT_EQ(big.nbytes(), 4096);
-  EXPECT_GE(arena.page_bytes_held(), 4096);
+  Tensor big = arena.acquire(0, Shape{kPage / 2}, DType::kFloat32, false);
+  EXPECT_EQ(big.nbytes(), 2 * kPage);
+  EXPECT_EQ(arena.page_bytes_held(), 2 * kPage);
   arena.release(0);
 
-  // But never past the pool budget: a request beyond max_bytes throws even
-  // after eviction (validating data-dependent outputs against capacity).
-  EXPECT_THROW(arena.acquire(0, Shape{16 * 1024}, DType::kFloat32, false),
+  // But never past the pool budget: a request beyond max_bytes throws
+  // (validating data-dependent outputs against capacity).
+  EXPECT_THROW(arena.acquire(0, Shape{2 * kPage}, DType::kFloat32, false),
                Error);
+  EXPECT_EQ(pool->bytes_in_use(), 0);
 }
 
-TEST(PagedArena, PoolPressureEvictsCachedRunsOfIdleArenas) {
+TEST(PagedArena, AFailedAcquireIsReportedAsTheBudgetAndUnwindsTheRun) {
+  // A run whose pool runs out mid-graph throws the pool's error, not a
+  // release check tripped by the unwind, and leaves no pages behind.
+  Rng rng(0x5eed);
+  const CompiledModel cm = compile_untuned(models::build_squeezenet(rng, 64));
+  RunOptions ropts;
+  ropts.compute_numerics = false;
+
+  auto unbounded = std::make_shared<PagePool>();
+  auto free_ctx = cm.make_serving_context(0, 0, unbounded);
+  ropts.serving_context = free_ctx.get();
+  const RunResult want = cm.run(ropts);
+
+  // A budget of exactly one run's peak, half of it held elsewhere.
   PagePool::Options popts;
-  popts.page_bytes = 1024;
-  popts.max_bytes = 4 * 1024;
-  popts.min_extent_pages = 4;
+  popts.max_bytes = unbounded->peak_bytes_in_use();
+  ASSERT_GE(popts.max_bytes, 2 * kPage);
   auto pool = std::make_shared<PagePool>(popts);
+  const PagePool::PageRun holder = pool->alloc(popts.max_bytes / 2);
+  auto ctx = cm.make_serving_context(0, 0, pool);
+  ropts.serving_context = ctx.get();
+  try {
+    (void)cm.run(ropts);
+    ADD_FAILURE() << "the run fit in half its peak";
+  } catch (const Error& e) {
+    EXPECT_NE(std::string(e.what()).find("page budget exhausted"),
+              std::string::npos)
+        << e.what();
+  }
+  EXPECT_EQ(pool->bytes_in_use(), pool->run_bytes(holder));
+  pool->release(holder);
+  EXPECT_EQ(pool->bytes_in_use(), 0);
 
-  PagedArena cold({3 * 1024}, pool);  // caches 3 pages after its run
-  Tensor t = cold.acquire(0, Shape{512}, DType::kFloat32, false);
-  cold.release(0);
-  EXPECT_EQ(pool->bytes_in_use(), 3 * 1024);
-
-  // A second arena needs 3 pages: the pool is over budget until the
-  // pressure hook evicts `cold`'s cached run.
-  PagedArena hot({3 * 1024}, pool);
-  Tensor u = hot.acquire(0, Shape{512}, DType::kFloat32, false);
-  EXPECT_EQ(cold.page_bytes_held(), 0);
-  EXPECT_GE(cold.evictions(), 1);
-  hot.release(0);
+  // The same context runs again once the budget is free, bit for bit like
+  // the unbounded run.
+  const RunResult got = cm.run(ropts);
+  expect_bit_identical(got.output, want.output, "after a failed run");
+  EXPECT_EQ(got.latency_ms, want.latency_ms);
+  EXPECT_EQ(got.serial_ms, want.serial_ms);
+  EXPECT_EQ(got.peak_intermediate_bytes, want.peak_intermediate_bytes);
+  EXPECT_EQ(got.arena_bytes, want.arena_bytes);
+  EXPECT_EQ(pool->bytes_in_use(), 0);
 }
 
-TEST(PagedArena, RebindResizesBuffersForANewShapeBinding) {
-  PagedArena arena({1000, 2000});
-  Tensor t = arena.acquire(0, Shape{100}, DType::kFloat32, false);
-  EXPECT_THROW(arena.rebind({500, 1000}), Error);  // in use
-  arena.release(0);
-  arena.rebind({8000, 1000});
-  EXPECT_EQ(arena.capacity_bytes(), 9000);
-  Tensor u = arena.acquire(0, Shape{2000}, DType::kFloat32, false);
-  EXPECT_EQ(arena.in_use_bytes(), 8000);
-  arena.release(0);
-  EXPECT_THROW(arena.rebind({1, 2, 3}), Error);  // buffer count is fixed
+TEST(PagedArena, EachStorageOwnersSteadyStatePageTrafficIsPinned) {
+  // Only the persistent context owns its pool, so only it keeps its page
+  // runs across runs: after warm-up an InceptionV1 run takes no pages from
+  // its pool, while serving and per-call contexts hand every page back.
+  Rng rng(0x5eed);
+  const CompiledModel cm = compile_untuned(models::build_inception_v1(rng));
+  obs::Counter& page_allocs =
+      obs::MetricsRegistry::global().counter("arena.page_allocs");
+  RunOptions ropts;
+  ropts.compute_numerics = false;
+
+  RunOptions persistent = ropts;
+  persistent.use_arena = true;
+  for (int i = 0; i < 3; ++i) (void)cm.run(persistent);
+  const int64_t before = page_allocs.value();
+  const RunResult warm = cm.run(persistent);
+  EXPECT_EQ(page_allocs.value(), before);
+  EXPECT_GT(warm.arena_page_bytes, 0);
+
+  auto pool = std::make_shared<PagePool>();
+  auto ctx = cm.make_serving_context(0, 0, pool);
+  RunOptions serving = ropts;
+  serving.serving_context = ctx.get();
+  for (int i = 0; i < 3; ++i) (void)cm.run(serving);
+  const RunResult served = cm.run(serving);
+  EXPECT_EQ(pool->bytes_in_use(), 0);
+  EXPECT_EQ(served.arena_page_bytes, 0);
+
+  for (int i = 0; i < 3; ++i) (void)cm.run(ropts);
+  const RunResult per_call = cm.run(ropts);
+  EXPECT_EQ(cm.page_pool()->bytes_in_use(), 0);
+  EXPECT_EQ(per_call.arena_page_bytes, 0);
 }
 
 // ----- cross-context physical page sharing ----------------------------------
@@ -479,7 +535,8 @@ TEST(DynamicShapes, NumericsAreBitIdenticalToStaticCompilesAtEachShape) {
       EXPECT_DOUBLE_EQ(got.latency_ms, want.latency_ms) << what;
       EXPECT_DOUBLE_EQ(got.serial_ms, want.serial_ms) << what;
 
-      // Persistent-arena dynamic runs match too (its arena rebinds).
+      // Persistent-arena dynamic runs match too (a binding change rebuilds
+      // its context).
       RunOptions aopts = ropts;
       aopts.use_arena = true;
       const RunResult arena = dyn.run(at_binding(aopts, batch, hw));

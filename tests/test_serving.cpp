@@ -36,6 +36,7 @@
 #include "serve/queue.h"
 #include "serve/request.h"
 #include "sim/device_spec.h"
+#include "tensor/page_pool.h"
 
 namespace igc {
 namespace {
@@ -594,6 +595,78 @@ TEST(ServingEngine, MultipleModelsMultiplexOverOneWorkerPool) {
     EXPECT_EQ(o.tenant, tb);
     EXPECT_EQ(o.sim_latency_ms, sim_b);
   }
+}
+
+TEST(ServingEngine, PageBudgetExhaustedMidRequestFailsOnlyThatRequest) {
+  // Fault injection: the engine's page pool runs out in the middle of a
+  // request. That request fails with the pool's error, the accounting still
+  // conserves, the flight recorder keeps the failure as it happened, and the
+  // next request runs once the pages are back.
+  const CompiledModel cm = compile_small();
+  RunOptions probe;
+  probe.compute_numerics = false;
+  auto unbounded = std::make_shared<PagePool>();
+  auto probe_ctx = cm.make_serving_context(0, 0, unbounded);
+  probe.serving_context = probe_ctx.get();
+  (void)cm.run(probe);
+
+  PagePool::Options popts;
+  popts.max_bytes = unbounded->peak_bytes_in_use();  // one request's peak
+  auto pool = std::make_shared<PagePool>(popts);
+  obs::MetricsRegistry reg;
+  serve::EngineOptions opts;
+  opts.registry = &reg;
+  opts.num_workers = 1;
+  opts.queue.max_wait_ms = 0.0;
+  opts.trace.enabled = true;
+  opts.page_pool = pool;
+  serve::ServingEngine engine(opts);
+  const int t0 = engine.add_tenant(tenant_of("a", cm));
+  engine.start();
+
+  const PagePool::PageRun holder = pool->alloc(popts.max_bytes / 2);
+  serve::SubmitResult first = engine.submit(t0, 1);
+  ASSERT_TRUE(first.admitted());
+  try {
+    (void)first.outcome.get();
+    ADD_FAILURE() << "the request fit in half its peak";
+  } catch (const Error& e) {
+    EXPECT_NE(std::string(e.what()).find("page budget exhausted"),
+              std::string::npos)
+        << e.what();
+  }
+  EXPECT_TRUE(engine.health().healthy());
+  pool->release(holder);
+
+  serve::SubmitResult second = engine.submit(t0, 2);
+  ASSERT_TRUE(second.admitted());
+  EXPECT_GT(second.outcome.get().sim_latency_ms, 0.0);
+  EXPECT_TRUE(engine.health().healthy());
+  engine.stop();
+
+  const serve::EngineStats s = engine.stats();
+  EXPECT_EQ(s.submitted, s.admitted + s.shed + s.rejected_full +
+                             s.rejected_shutdown + s.rejected_unknown_tenant);
+  EXPECT_EQ(s.admitted, 2);
+  EXPECT_EQ(s.completed, 1);
+  EXPECT_EQ(s.failed, 1);
+  EXPECT_EQ(s.admitted, s.completed + s.failed);
+
+  // Snapshots sort by trace id, so the first request's timeline leads.
+  const std::vector<obs::RequestTimeline> kept =
+      engine.flight_recorder()->snapshot();
+  ASSERT_FALSE(kept.empty());
+  const obs::RequestTimeline& failed = kept.front();
+  EXPECT_EQ(failed.status, obs::RequestStatus::kFailed);
+  ASSERT_FALSE(failed.events.empty());
+  EXPECT_EQ(failed.events.back().kind, obs::RequestEventKind::kFinish);
+  EXPECT_NE(failed.events.back().detail.find("page budget exhausted"),
+            std::string::npos)
+      << failed.events.back().detail;
+  for (size_t i = 1; i < kept.size(); ++i) {
+    EXPECT_EQ(kept[i].status, obs::RequestStatus::kCompleted);
+  }
+  EXPECT_EQ(pool->bytes_in_use(), 0);
 }
 
 TEST(ServingEngine, LifecycleErrors) {

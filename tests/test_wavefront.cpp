@@ -51,7 +51,7 @@ graph::ExecResult run_no_reuse(const graph::Graph& g,
     plan.buffer_holders.push_back({n.id});
     plan.release_after.emplace_back();
   }
-  BufferArena arena(plan.buffer_bytes);
+  PagedArena arena(plan.buffer_bytes);
   opts.mode = graph::ExecMode::kSequential;
   opts.plan = &plan;
   opts.arena = &arena;

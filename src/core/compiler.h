@@ -101,10 +101,11 @@ enum class RunBackend { kAuto, kInterp };
 /// by the caller (RunOptions::serving_context), by the model (use_arena), or
 /// by the call itself. A caller-owned context lets a pool of workers serve
 /// the same CompiledModel concurrently, each on its own context, without
-/// the model's mutex. Its arena draws pages from a shared PagePool and
-/// returns them on every release (an arena caches page runs only on a pool
-/// it owns), so contexts across workers and across tenant models recycle
-/// one physical page set instead of each holding a private full-size slab.
+/// the model's mutex. Its arena draws pages for the values it holds from a
+/// shared PagePool and returns them on every release (an arena caches page
+/// runs only on a pool it owns), so contexts across workers and across
+/// tenant models recycle one physical page set instead of each holding a
+/// private full-size slab.
 /// The caller guarantees at most one run uses a given context at a time (a
 /// worker thread owning one context per tenant model satisfies this).
 /// Created by CompiledModel::make_serving_context(); it runs only on that
@@ -144,13 +145,11 @@ struct RunOptions {
   graph::ExecMode mode = graph::ExecMode::kSequential;
   /// Which arena holds the intermediate tensors. On: the model's persistent
   /// arena, which owns a private pool and keeps page runs cached across
-  /// calls. A repeated run still takes pages where a cached run cannot
-  /// serve: for a buffer whose last holder was a materialized alias
-  /// (Flatten, DeviceCopy), and for one whose run an alias still reads.
-  /// Runs on it serialize on the model; a binding change rebuilds it. Off: a
-  /// per-call arena over the binding's compiled plan that borrows pages from
-  /// page_pool() and returns them when the call ends, so concurrent calls on
-  /// one model do not serialize.
+  /// calls, so a repeated run takes no pages. Runs on it serialize on the
+  /// model; a binding change rebuilds it. Off: a per-call arena over the
+  /// binding's compiled plan that borrows pages from page_pool() and returns
+  /// them when the call ends, so concurrent calls on one model do not
+  /// serialize.
   bool use_arena = false;
   /// When set, the run starts a fresh trace on this recorder (model /
   /// platform / mode metadata) and records one span per executed node.

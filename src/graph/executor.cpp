@@ -27,11 +27,11 @@ namespace {
 
 /// Tracks one node's runtime value: the tensor (always shape-correct),
 /// whether its contents are real numerics or placeholder data, and the
-/// planned arena buffer backing it.
+/// planned arena buffer it acquired (an alias views its root's instead).
 struct Value {
   Tensor tensor;
   bool materialized = false;
-  int arena_buffer = -1;  // arena buffer id backing this value, -1 if none
+  int arena_buffer = -1;  // arena buffer id this value acquired, -1 if none
 };
 
 /// The simulated cost and trace of one node, merged after dispatch: the
@@ -208,11 +208,8 @@ class ExecutorImpl {
         case OpKind::kRoiAlign:
           reads = true;
           break;
-        case OpKind::kFlatten:
-        case OpKind::kDeviceCopy:
-          reads = data_read_[static_cast<size_t>(id)];
-          break;
         default:
+          reads = is_alias(n.kind) && data_read_[static_cast<size_t>(id)];
           break;
       }
       if (!reads) continue;
@@ -464,8 +461,10 @@ class ExecutorImpl {
   }
 
   /// Stores a computed output, copying it into the node's planned buffer so
-  /// the result's lifetime is plan-managed.
+  /// the result's lifetime is plan-managed. Every output has its inferred
+  /// shape, so it fits the buffer the plan sized for it.
   void set_computed(const Node& n, const Tensor& t) {
+    IGC_CHECK(t.shape() == n.out_shape) << n.name << ": " << t.shape().str();
     Value& v = val(n.id);
     v.tensor = arena_acquire(n, t.shape(), t.dtype(), /*zero_fill=*/false);
     std::memcpy(v.tensor.raw_data(), t.raw_data(),
@@ -473,25 +472,19 @@ class ExecutorImpl {
     v.materialized = true;
   }
 
-  /// Flatten and DeviceCopy alias their input: acquire_shared() refcounts
-  /// the source buffer's pages, and a later acquirer of those pages sees the
-  /// outstanding reference and takes fresh ones (copy-on-reacquire), so the
-  /// alias stays valid even after the source buffer is recycled.
+  /// Flatten and DeviceCopy view their input's buffer under their own shape:
+  /// the plan stores them there and keeps the buffer's root live until every
+  /// reader of the alias has run. A placeholder that escapes as the graph
+  /// output is zeroed; nothing else reads placeholder contents.
   void set_aliased(const Node& n) {
     Value& v = val(n.id);
     const Value& src = val(n.inputs[0]);
-    if (src.materialized) {
-      const int buf = plan_->buffer_of_node[static_cast<size_t>(n.id)];
-      v.tensor = arena_->acquire_shared(buf, src.arena_buffer, n.out_shape,
-                                        src.tensor.dtype());
-      v.arena_buffer = buf;
-    } else {
-      // Unmaterialized placeholders carry no data worth sharing; zero-fill
-      // only when the value escapes as the graph output.
-      v.tensor = arena_acquire(n, n.out_shape, src.tensor.dtype(),
-                               /*zero_fill=*/n.id == g_.output());
-    }
+    v.tensor = src.tensor.reshape(n.out_shape);
     v.materialized = src.materialized;
+    if (!v.materialized && n.id == g_.output()) {
+      std::memset(v.tensor.raw_data(), 0,
+                  static_cast<size_t>(v.tensor.nbytes()));
+    }
   }
 
   // ----- per-op execution -------------------------------------------------
@@ -652,9 +645,7 @@ class ExecutorImpl {
     std::vector<Tensor> inputs;
     inputs.reserve(n.inputs.size());
     for (int in : n.inputs) inputs.push_back(val(in).tensor);
-    const Tensor out = reference_output(n, inputs).value();
-    IGC_CHECK(out.shape() == n.out_shape) << n.name << ": " << out.shape().str();
-    set_computed(n, out);
+    set_computed(n, reference_output(n, inputs).value());
   }
 
   /// Books a tensor op's simulated cost. It depends on the node's kind,

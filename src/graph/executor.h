@@ -26,11 +26,12 @@
 //
 // Every node output lives in a plan-backed PagedArena (see
 // src/tensor/arena.h): each node acquires the buffer its MemoryPlan assigns,
-// and after each node the run releases the values MemoryPlan::release_after
-// lists for it, so buffers are recycled across nodes within a run and, when
-// the caller keeps the arena (CompiledModel does), across repeated runs —
-// steady-state serving then performs no intermediate heap allocations for
-// node outputs.
+// except an alias (Flatten, DeviceCopy), which views its input's buffer
+// under its own shape, and after each node the run releases the storage
+// roots MemoryPlan::release_after lists for it, so buffers are recycled
+// across nodes within a run and, when the caller keeps the arena
+// (CompiledModel does), across repeated runs — steady-state serving then
+// performs no intermediate heap allocations for node outputs.
 //
 // One node step: charge the layout transforms on its input edges; run the
 // input, constant, alias or vision case; or else charge the tensor op from

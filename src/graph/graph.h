@@ -48,6 +48,13 @@ enum class OpKind {
 
 std::string_view op_kind_name(OpKind k);
 
+/// The aliasing ops: a Flatten, or a device_copy between a CPU and a GPU that
+/// share one DRAM, is its input's data under a new shape. The memory planner
+/// stores it in its input's buffer and the executor views that buffer.
+inline bool is_alias(OpKind k) {
+  return k == OpKind::kFlatten || k == OpKind::kDeviceCopy;
+}
+
 /// Where a node executes after placement (Sec. 3.1.2).
 enum class Place { kUnassigned, kGpu, kCpu };
 

@@ -29,62 +29,81 @@ MemoryPlan plan_memory(const Graph& g) {
   plan.buffer_of_node.assign(static_cast<size_t>(n), -1);
   plan.release_after.assign(static_cast<size_t>(n), {});
 
-  // Liveness: node output is live from its definition to its last consumer;
-  // the graph output is live to the end.
+  // Every value is stored in its storage root's buffer: an alias's root is
+  // its input's, any other value is its own root.
+  std::vector<int> root(static_cast<size_t>(n));
+  for (const Node& node : g.nodes()) {
+    root[static_cast<size_t>(node.id)] =
+        is_alias(node.kind) ? root[static_cast<size_t>(node.inputs[0])]
+                            : node.id;
+  }
+  auto root_of = [&root](int id) { return root[static_cast<size_t>(id)]; };
+
+  // Liveness, per root: a root's buffer is live from its definition to the
+  // last consumer of any value stored in it; the graph output's root is live
+  // to the end.
   std::vector<int> last_use(static_cast<size_t>(n), -1);
   for (const Node& node : g.nodes()) {
     for (int in : node.inputs) {
-      last_use[static_cast<size_t>(in)] =
-          std::max(last_use[static_cast<size_t>(in)], node.id);
+      int& last = last_use[static_cast<size_t>(root_of(in))];
+      last = std::max(last, node.id);
     }
   }
-  last_use[static_cast<size_t>(g.output())] = n;
+  last_use[static_cast<size_t>(root_of(g.output()))] = n;
 
   struct FreeBuf {
     int id;
     int64_t bytes;
   };
   std::vector<FreeBuf> free_list;
-  // Buffers whose producing value dies at step i are returned after step i.
+  // Buffers whose root dies at step i are returned after step i.
   std::vector<std::vector<int>> expiring(static_cast<size_t>(n + 1));
 
   for (const Node& node : g.nodes()) {
     const int64_t bytes = node.out_shape.numel() * 4;
     plan.unshared_bytes += bytes;
-    // Best-fit reuse: smallest free buffer that fits.
-    int best = -1;
-    for (size_t i = 0; i < free_list.size(); ++i) {
-      if (free_list[i].bytes >= bytes &&
-          (best < 0 || free_list[i].bytes < free_list[static_cast<size_t>(best)].bytes)) {
-        best = static_cast<int>(i);
-      }
-    }
     int buf_id;
-    if (best >= 0) {
-      buf_id = free_list[static_cast<size_t>(best)].id;
-      free_list.erase(free_list.begin() + best);
+    if (root_of(node.id) != node.id) {
+      // An alias holds its root's buffer, at the same element count.
+      buf_id = plan.buffer_of_node[static_cast<size_t>(node.inputs[0])];
     } else {
-      buf_id = static_cast<int>(plan.buffer_bytes.size());
-      plan.buffer_bytes.push_back(bytes);
-      plan.buffer_holders.emplace_back();
+      // Best-fit reuse: smallest free buffer that fits.
+      int best = -1;
+      for (size_t i = 0; i < free_list.size(); ++i) {
+        if (free_list[i].bytes >= bytes &&
+            (best < 0 ||
+             free_list[i].bytes < free_list[static_cast<size_t>(best)].bytes)) {
+          best = static_cast<int>(i);
+        }
+      }
+      if (best >= 0) {
+        buf_id = free_list[static_cast<size_t>(best)].id;
+        free_list.erase(free_list.begin() + best);
+      } else {
+        buf_id = static_cast<int>(plan.buffer_bytes.size());
+        plan.buffer_bytes.push_back(bytes);
+        plan.buffer_holders.emplace_back();
+      }
+      expiring[static_cast<size_t>(last_use[static_cast<size_t>(node.id)])]
+          .push_back(buf_id);
     }
     plan.buffer_bytes[static_cast<size_t>(buf_id)] =
         std::max(plan.buffer_bytes[static_cast<size_t>(buf_id)], bytes);
     plan.buffer_of_node[static_cast<size_t>(node.id)] = buf_id;
     plan.buffer_holders[static_cast<size_t>(buf_id)].push_back(node.id);
-    expiring[static_cast<size_t>(last_use[static_cast<size_t>(node.id)])]
-        .push_back(buf_id);
-    // Return buffers freed by values that died at this step.
+    // Return buffers freed by roots that died at this step.
     for (int freed : expiring[static_cast<size_t>(node.id)]) {
       free_list.push_back(
           {freed, plan.buffer_bytes[static_cast<size_t>(freed)]});
     }
-    // The values this node reads for the last time, each listed once at its
-    // last input edge.
+    // The roots this node reads for the last time, each listed once at the
+    // last input edge stored in it (two inputs can share a root).
     for (auto in = node.inputs.begin(); in != node.inputs.end(); ++in) {
-      if (last_use[static_cast<size_t>(*in)] == node.id &&
-          std::find(in + 1, node.inputs.end(), *in) == node.inputs.end()) {
-        plan.release_after[static_cast<size_t>(node.id)].push_back(*in);
+      const int r = root_of(*in);
+      if (last_use[static_cast<size_t>(r)] == node.id &&
+          std::none_of(in + 1, node.inputs.end(),
+                       [&](int later) { return root_of(later) == r; })) {
+        plan.release_after[static_cast<size_t>(node.id)].push_back(r);
       }
     }
   }

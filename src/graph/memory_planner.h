@@ -6,6 +6,13 @@
 // output gets a buffer id, and buffers are recycled once the last consumer
 // has run.
 //
+// The plan alone decides storage. An alias (Flatten, DeviceCopy: see
+// graph::is_alias) is stored in its input's buffer, so every value belongs to
+// a *storage root*, the non-alias value that owns the buffer. A root stays
+// live until the last consumer of any value stored in it, and only roots are
+// released; the executor views an alias's buffer under the alias's shape and
+// acquires nothing for it.
+//
 // The plan is split into a shape-independent part and a shape-dependent
 // part. Buffer *assignment* (buffer_of_node, buffer_holders, release_after)
 // depends only on liveness — which nodes exist and who consumes whom — so it
@@ -26,18 +33,21 @@ namespace igc::graph {
 
 struct MemoryPlan {
   /// Buffer id assigned to each node's output (every node gets one: the
-  /// planned graph is compact).
+  /// planned graph is compact). An alias gets its input's buffer.
   std::vector<int> buffer_of_node;
-  /// For each node, the values whose last consumer it is (each once, in the
-  /// order of their last input edge), which the executor releases after the
-  /// node runs. The graph output is never listed: it escapes the run.
+  /// For each node, the storage roots it is the last consumer of (of the root
+  /// or of any alias of it; each root once, in the order of the last input
+  /// edge stored in it), which the executor releases after the node runs.
+  /// Aliases are never listed, nor is the graph output's root: it escapes
+  /// the run.
   std::vector<std::vector<int>> release_after;
   /// Size in bytes of each buffer at the shape the plan was made (or last
   /// rebound) for. The PagedArena resolves this to page counts at bind time.
   std::vector<int64_t> buffer_bytes;
   /// Node ids sharing each buffer, in execution order (the inverse of
-  /// buffer_of_node). resolve_buffer_bytes() reads it to re-size buffers at
-  /// a new shape binding.
+  /// buffer_of_node; an alias is listed with its root, at the same element
+  /// count). resolve_buffer_bytes() reads it to re-size buffers at a new
+  /// shape binding.
   std::vector<std::vector<int>> buffer_holders;
 
   int64_t total_bytes() const {
@@ -49,9 +59,9 @@ struct MemoryPlan {
   int64_t unshared_bytes = 0;
 };
 
-/// Greedy liveness-based buffer assignment: a node's output buffer is
-/// reusable after its last consumer executes. Weights/constants are not
-/// counted (they are resident for the model's lifetime). Increments the
+/// Greedy liveness-based buffer assignment: a root's buffer is reusable after
+/// the last consumer of any value stored in it executes. Weights/constants
+/// are not counted (they are resident for the model's lifetime). Increments the
 /// graph.plan.plans metric — dynamic-shape rebinding must go through
 /// resolve_buffer_bytes() instead of replanning. Throws igc::Error when a
 /// node does not reach the output: compaction (the dce or place pass) is

@@ -80,23 +80,14 @@ Tensor PagedArena::acquire(int buffer_id, const Shape& shape, DType dtype,
     IGC_CHECK(!e.in_use) << "arena buffer " << buffer_id
                          << " acquired while in use";
     const int64_t requested = shape.numel() * dtype_bytes(dtype);
-    // Planned bytes cover the requested shape at any declared binding;
-    // data-dependent overshoot grows the page run instead of failing, so
-    // NMS/decode tails validate against page capacity rather than a slab.
-    const int64_t need = std::max<int64_t>({e.bytes, requested, 1});
-    if (!e.run.empty() &&
-        (pool_->refcount(e.run) > 1 || pool_->run_bytes(e.run) < need)) {
-      // The cached run is still read through an alias (copy-on-reacquire),
-      // or is too small for a data-dependent overshoot: take fresh pages and
-      // let the old run die with its last reference.
-      pool_->release(e.run);
-      e.run = {};
-    }
-    if (e.run.empty()) e.run = pool_->alloc(need);
+    IGC_CHECK_LE(requested, e.bytes)
+        << "arena buffer " << buffer_id << ": " << shape.str()
+        << " does not fit the planned bytes";
+    // A cached run serves every holder of the buffer, so it spans the
+    // planned bytes; a run from a caller's pool holds only this value.
+    if (e.run.empty()) e.run = pool_->alloc(owns_pool_ ? e.bytes : requested);
     e.in_use = true;
-    e.borrowed = false;
-    e.charged = std::max(e.bytes, requested);
-    in_use_ += e.charged;
+    in_use_ += e.bytes;
     peak_ = std::max(peak_, in_use_);
     in_use_now = in_use_;
     t = wrap_run(e.run, shape, dtype);
@@ -104,43 +95,6 @@ Tensor PagedArena::acquire(int buffer_id, const Shape& shape, DType dtype,
   acquire_counter().add(1);
   high_water_gauge().update_max(in_use_now);
   if (zero_fill) std::memset(t.raw_data(), 0, static_cast<size_t>(t.nbytes()));
-  return t;
-}
-
-Tensor PagedArena::acquire_shared(int buffer_id, int src_buffer_id,
-                                  const Shape& shape, DType dtype) {
-  Tensor t;
-  int64_t in_use_now = 0;
-  {
-    std::lock_guard<std::mutex> lock(mu_);
-    Entry& e = entry_locked(buffer_id);
-    Entry& src = entry_locked(src_buffer_id);
-    IGC_CHECK(!e.in_use) << "arena buffer " << buffer_id
-                         << " acquired while in use";
-    IGC_CHECK(src.in_use) << "arena buffer " << src_buffer_id
-                          << " must be in use to share its pages";
-    const int64_t requested = shape.numel() * dtype_bytes(dtype);
-    IGC_CHECK_LE(requested, pool_->run_bytes(src.run))
-        << "arena buffer " << buffer_id << " does not fit in buffer "
-        << src_buffer_id << "'s page run";
-    if (!e.run.empty()) {
-      pool_->release(e.run);  // drop our cached run; we alias src instead
-      e.run = {};
-    }
-    e.run = src.run;
-    pool_->add_ref(e.run);
-    e.in_use = true;
-    e.borrowed = true;
-    // Charge the planned bytes (what a copy into our own buffer would have
-    // charged) so accounting matches the slab design bit for bit.
-    e.charged = std::max(e.bytes, requested);
-    in_use_ += e.charged;
-    peak_ = std::max(peak_, in_use_);
-    in_use_now = in_use_;
-    t = wrap_run(e.run, shape, dtype);
-  }
-  acquire_counter().add(1);
-  high_water_gauge().update_max(in_use_now);
   return t;
 }
 
@@ -152,13 +106,11 @@ void PagedArena::release(int buffer_id) {
         << "arena buffer " << buffer_id
         << " released while not in use (double release, or release before "
            "acquire) — every acquire must pair with exactly one release";
-    in_use_ -= e.charged;
-    e.charged = 0;
+    in_use_ -= e.bytes;
     e.in_use = false;
-    if (e.borrowed || !owns_pool_) {
+    if (!owns_pool_) {
       pool_->release(e.run);
       e.run = {};
-      e.borrowed = false;
     }
   }
   release_counter().add(1);
@@ -188,7 +140,7 @@ int64_t PagedArena::page_bytes_held() const {
   std::lock_guard<std::mutex> lock(mu_);
   int64_t held = 0;
   for (const Entry& e : bufs_) {
-    if (!e.run.empty() && !e.borrowed) held += pool_->run_bytes(e.run);
+    if (!e.run.empty()) held += pool_->run_bytes(e.run);
   }
   return held;
 }

@@ -10,19 +10,20 @@
 // One rule decides whether a buffer keeps its pages across release: an
 // arena caches page runs only on a pool it owns.
 //   * PagedArena(buffer_bytes) owns an unbounded private pool and caches: a
-//     buffer keeps its page run across release, so a repeated run takes
-//     pages only where a cached run cannot serve (an alias still reads it,
-//     or a data-dependent output outgrew it). This is the old slab arena's
-//     behaviour, and the one a model's persistent context uses.
+//     buffer keeps its page run, sized for the buffer's largest holder,
+//     across release, so a repeated run takes no pages. This is the old slab
+//     arena's behaviour, and the one a model's persistent context uses.
 //   * PagedArena(buffer_bytes, pool) draws from a caller's pool, which may
-//     back any number of arenas, and returns the pages on every release, so
-//     concurrent requests — across workers and across tenants — recycle one
-//     physical page set instead of each holding a private full-size slab.
+//     back any number of arenas, takes pages for the value it holds rather
+//     than for the buffer's largest holder, and returns them on every
+//     release, so concurrent requests — across workers and across tenants —
+//     recycle one physical page set instead of each holding a private
+//     full-size slab.
 //
-// acquire_shared() aliases another in-use buffer's pages with a refcount
-// (zero-copy Flatten/DeviceCopy); a later acquire of the source buffer sees
-// the outstanding reference and takes fresh pages, so readers of the alias
-// are never overwritten (copy-on-reacquire).
+// The memory plan decides storage (src/graph/memory_planner.h): an alias
+// (Flatten, DeviceCopy) views its root's buffer and never reaches the arena,
+// and no value outgrows its planned buffer, so an acquire larger than the
+// planned bytes is a hard error.
 //
 // Accounting invariant (the bit-identity contract with the old slab arena):
 // in_use_bytes / peak_in_use_bytes / capacity_bytes are measured in *planned
@@ -65,17 +66,11 @@ class PagedArena {
 
   /// Acquires buffer `buffer_id` viewed as a float32/int32 tensor of `shape`.
   /// `zero_fill` clears the pages first (needed only when the contents may be
-  /// read before being fully written). The buffer must currently be free.
-  /// The page run grows on demand if `shape` needs more than the planned
-  /// bytes (data-dependent outputs), subject to the pool's page budget.
+  /// read before being fully written). The buffer must currently be free,
+  /// and `shape` must fit its planned bytes. Throws igc::Error when the
+  /// pages would take the pool past its budget.
   Tensor acquire(int buffer_id, const Shape& shape, DType dtype,
                  bool zero_fill);
-
-  /// Acquires `buffer_id` as a zero-copy alias of `src_buffer_id`'s pages
-  /// (refcounted; src must be in use and its run must fit `shape`). Releasing
-  /// either buffer drops one reference; the pages live until both are done.
-  Tensor acquire_shared(int buffer_id, int src_buffer_id, const Shape& shape,
-                        DType dtype);
 
   /// Returns `buffer_id` to the free pool. Releasing a buffer that is not in
   /// use (double release, or release before acquire) is a hard error.
@@ -98,11 +93,9 @@ class PagedArena {
 
  private:
   struct Entry {
-    int64_t bytes = 0;              // planned bytes (accounting unit)
-    int64_t charged = 0;            // bytes charged while in use
-    PagePool::PageRun run;          // empty until first acquire
+    int64_t bytes = 0;      // planned bytes (accounting unit)
+    PagePool::PageRun run;  // empty until first acquire
     bool in_use = false;
-    bool borrowed = false;          // run refcounts another entry's pages
   };
 
   void init(std::vector<int64_t> buffer_bytes);

@@ -5,6 +5,14 @@
 #include "core/error.h"
 #include "obs/metrics.h"
 
+// Page poisoning under AddressSanitizer (see page_pool.h); no-ops without.
+#if defined(__SANITIZE_ADDRESS__)
+#include <sanitizer/asan_interface.h>
+#else
+#define ASAN_POISON_MEMORY_REGION(p, n) ((void)(p), (void)(n))
+#define ASAN_UNPOISON_MEMORY_REGION(p, n) ((void)(p), (void)(n))
+#endif
+
 namespace igc {
 namespace {
 
@@ -57,8 +65,12 @@ PagePool::PageRun PagePool::try_alloc_locked(int32_t pages_needed) {
   // No hole fits: map a new extent.
   Extent ext;
   ext.num_pages = std::max<int64_t>(pages_needed, kMinExtentPages);
-  ext.data = std::shared_ptr<char[]>(
-      new char[static_cast<size_t>(ext.num_pages * kPageBytes)]);
+  const size_t bytes = static_cast<size_t>(ext.num_pages * kPageBytes);
+  ext.data = std::shared_ptr<char[]>(new char[bytes], [bytes](char* p) {
+    ASAN_UNPOISON_MEMORY_REGION(p, bytes);
+    delete[] p;
+  });
+  ASAN_POISON_MEMORY_REGION(ext.data.get(), bytes);
   PageRun run;
   run.extent = static_cast<int32_t>(extents_.size());
   run.first_page = 0;
@@ -97,7 +109,9 @@ PagePool::PageRun PagePool::alloc(int64_t min_bytes) {
         << (opts_.max_bytes / kPageBytes - pages_in_use_)
         << " pages of budget left (max_bytes=" << opts_.max_bytes << ")";
     run = try_alloc_locked(pages_needed);
-    live_[run_key(run)] = LiveRun{pages_needed, 1};
+    live_[run_key(run)] = pages_needed;
+    ASAN_UNPOISON_MEMORY_REGION(run_ptr_locked(run),
+                                static_cast<size_t>(run_bytes(run)));
     pages_in_use_ += pages_needed;
     total_allocs_ += pages_needed;
     note_usage_locked();
@@ -106,22 +120,17 @@ PagePool::PageRun PagePool::alloc(int64_t min_bytes) {
   return run;
 }
 
-void PagePool::add_ref(const PageRun& run) {
-  std::lock_guard<std::mutex> lock(mu_);
-  auto it = live_.find(run_key(run));
-  IGC_CHECK(it != live_.end()) << "PagePool: add_ref on a non-live run";
-  ++it->second.refs;
-}
-
 void PagePool::release(const PageRun& run) {
   int32_t freed = 0;
   {
     std::lock_guard<std::mutex> lock(mu_);
     auto it = live_.find(run_key(run));
-    IGC_CHECK(it != live_.end()) << "PagePool: release of a non-live run";
-    if (--it->second.refs > 0) return;
-    freed = it->second.num_pages;
+    IGC_CHECK(it != live_.end())
+        << "PagePool: release of a non-live run (released twice?)";
+    freed = it->second;
     live_.erase(it);
+    ASAN_POISON_MEMORY_REGION(run_ptr_locked(run),
+                              static_cast<size_t>(run_bytes(run)));
     pages_in_use_ -= freed;
     total_frees_ += freed;
     // Return the pages to the extent's free map, coalescing with neighbors.
@@ -147,12 +156,6 @@ void PagePool::release(const PageRun& run) {
   page_free_counter().add(freed);
 }
 
-int PagePool::refcount(const PageRun& run) const {
-  std::lock_guard<std::mutex> lock(mu_);
-  auto it = live_.find(run_key(run));
-  return it == live_.end() ? 0 : it->second.refs;
-}
-
 std::shared_ptr<char[]> PagePool::run_data(const PageRun& run) const {
   std::lock_guard<std::mutex> lock(mu_);
   IGC_CHECK_GE(run.extent, 0);
@@ -160,8 +163,7 @@ std::shared_ptr<char[]> PagePool::run_data(const PageRun& run) const {
   const Extent& ext = extents_[static_cast<size_t>(run.extent)];
   IGC_CHECK_LE(static_cast<int64_t>(run.first_page) + run.num_pages,
                ext.num_pages);
-  return std::shared_ptr<char[]>(
-      ext.data, ext.data.get() + run.first_page * kPageBytes);
+  return std::shared_ptr<char[]>(ext.data, run_ptr_locked(run));
 }
 
 int64_t PagePool::bytes_in_use() const {

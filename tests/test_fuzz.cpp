@@ -99,39 +99,58 @@ TEST_P(GraphFuzz, PassesPreserveNumericsAndPlannerIsValid) {
   // Optimization must never be slower on the simulated clock.
   EXPECT_LE(b.latency_ms, a.latency_ms * 1.0001);
 
-  // Memory-planner invariant on the optimized graph.
+  // Memory-planner invariant on the optimized graph, over storage roots: an
+  // alias (Flatten, DeviceCopy) is stored in its input's buffer, so each
+  // value belongs to a root, and a root's group — the root and every alias
+  // of it — is live until the last consumer of any of its values.
   const graph::MemoryPlan plan = graph::plan_memory(optimized);
-  std::vector<int> last_use(static_cast<size_t>(optimized.num_nodes()), -1);
-  for (const auto& n : optimized.nodes()) {
-    for (int in : n.inputs) {
-      last_use[static_cast<size_t>(in)] =
-          std::max(last_use[static_cast<size_t>(in)], n.id);
+  const int n = optimized.num_nodes();
+  std::vector<int> root(static_cast<size_t>(n));
+  std::vector<int> group_last(static_cast<size_t>(n), -1);
+  for (const auto& node : optimized.nodes()) {
+    const size_t id = static_cast<size_t>(node.id);
+    root[id] = node.id;
+    if (graph::is_alias(node.kind)) {
+      const size_t in = static_cast<size_t>(node.inputs[0]);
+      root[id] = root[in];
+      EXPECT_EQ(plan.buffer_of_node[id], plan.buffer_of_node[in])
+          << "alias " << id << " is not stored in its input's buffer";
+    }
+    for (int in : node.inputs) {
+      const size_t r = static_cast<size_t>(root[static_cast<size_t>(in)]);
+      group_last[r] = std::max(group_last[r], node.id);
     }
   }
-  last_use[static_cast<size_t>(optimized.output())] = optimized.num_nodes();
-  for (int i = 0; i < optimized.num_nodes(); ++i) {
-    for (int j = i + 1; j < optimized.num_nodes(); ++j) {
+  const int out_root = root[static_cast<size_t>(optimized.output())];
+  group_last[static_cast<size_t>(out_root)] = n;
+  // Distinct roots that share a buffer have disjoint group lifetimes.
+  for (int i = 0; i < n; ++i) {
+    for (int j = i + 1; j < n; ++j) {
+      if (root[static_cast<size_t>(i)] != i ||
+          root[static_cast<size_t>(j)] != j) {
+        continue;
+      }
       const int bi = plan.buffer_of_node[static_cast<size_t>(i)];
       const int bj = plan.buffer_of_node[static_cast<size_t>(j)];
       if (bi < 0 || bi != bj) continue;
-      EXPECT_LE(last_use[static_cast<size_t>(i)], j);
+      EXPECT_LE(group_last[static_cast<size_t>(i)], j)
+          << "roots " << i << " and " << j << " share buffer " << bi;
     }
   }
-  // Every value but the output is released exactly once, after its last
-  // consumer; the output is never released during the run.
+  // Each root but the output's is released exactly once, after its group's
+  // last consumer; aliases and the output's root are never released.
   ASSERT_EQ(plan.release_after.size(), optimized.nodes().size());
-  std::vector<int> released_at(static_cast<size_t>(optimized.num_nodes()),
-                               -1);
-  for (int id = 0; id < optimized.num_nodes(); ++id) {
+  std::vector<int> released_at(static_cast<size_t>(n), -1);
+  for (int id = 0; id < n; ++id) {
     for (int v : plan.release_after[static_cast<size_t>(id)]) {
       EXPECT_EQ(released_at[static_cast<size_t>(v)], -1)
           << "value " << v << " released twice";
       released_at[static_cast<size_t>(v)] = id;
     }
   }
-  for (int v = 0; v < optimized.num_nodes(); ++v) {
-    const int expected =
-        v == optimized.output() ? -1 : last_use[static_cast<size_t>(v)];
+  for (int v = 0; v < n; ++v) {
+    const bool released = root[static_cast<size_t>(v)] == v && v != out_root;
+    const int expected = released ? group_last[static_cast<size_t>(v)] : -1;
     EXPECT_EQ(released_at[static_cast<size_t>(v)], expected) << "value " << v;
   }
 }

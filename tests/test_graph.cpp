@@ -217,6 +217,39 @@ TEST(MemoryPlanner, NoLiveIntervalsShareABuffer) {
   }
 }
 
+TEST(MemoryPlanner, AnAliasIsStoredInItsInputsBufferUntilItsLastReader) {
+  // data -> data_to_gpu -> conv -> gap -> gap_to_cpu -> flat (the output):
+  // placement puts the Flatten on the CPU, so it reads a DeviceCopy.
+  Rng rng(12);
+  Graph g;
+  const int in = g.add_input("data", Shape{1, 4, 8, 8});
+  const int conv = g.add_conv2d("conv", in, small_conv(4, 4, 8),
+                                Tensor::random_normal(Shape{4, 4, 3, 3}, rng));
+  g.set_output(g.add_flatten("flat", g.add_global_avg_pool("gap", conv)));
+  ASSERT_EQ(placement_pass(g, {OpKind::kFlatten}), 2);
+  const std::vector<OpKind> kinds = {OpKind::kInput, OpKind::kDeviceCopy,
+                                     OpKind::kConv2d, OpKind::kGlobalAvgPool,
+                                     OpKind::kDeviceCopy, OpKind::kFlatten};
+  ASSERT_EQ(g.num_nodes(), static_cast<int>(kinds.size()));
+  for (int id = 0; id < g.num_nodes(); ++id) {
+    ASSERT_EQ(g.node(id).kind, kinds[static_cast<size_t>(id)]) << id;
+  }
+
+  const MemoryPlan plan = plan_memory(g);
+  // Each alias holds its root's buffer: data's for the upload, gap's for the
+  // copy back and the Flatten. data stays live until conv reads the upload,
+  // so conv takes a second buffer; gap reuses data's.
+  EXPECT_EQ(plan.buffer_of_node, (std::vector<int>{0, 0, 1, 0, 0, 0}));
+  // Only roots are released, after the last reader of any alias of them:
+  // data after conv, conv after gap. gap's group escapes as the output.
+  EXPECT_EQ(plan.release_after,
+            (std::vector<std::vector<int>>{{}, {}, {0}, {2}, {}, {}}));
+  EXPECT_EQ(plan.buffer_holders,
+            (std::vector<std::vector<int>>{{0, 1, 3, 4, 5}, {2}}));
+  EXPECT_EQ(plan.buffer_bytes, (std::vector<int64_t>{4 * 8 * 8 * 4,
+                                                     4 * 8 * 8 * 4}));
+}
+
 TEST(MemoryPlanner, DiamondNeedsThreeBuffers) {
   Rng rng(11);
   Graph g;

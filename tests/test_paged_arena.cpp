@@ -1,12 +1,13 @@
 // Tests for the paged buffer arena and the dynamic-shape execution path:
 //   * PagePool mechanics — page rounding, first-fit reuse with coalescing,
-//     refcounted runs, stats, and a page budget that holds under concurrent
-//     allocation;
+//     a run released twice failing hard, stats, and a page budget that holds
+//     under concurrent allocation;
 //   * PagedArena — slab-compatible planned-bytes accounting, double-release
-//     hard errors, lazy pages, run caching only on a pool the arena owns,
-//     zero-copy aliasing with copy-on-reacquire, a run that exhausts its
-//     page budget failing with the pool's error and unwinding cleanly, and
-//     each storage owner's steady-state page traffic;
+//     and oversize-acquire hard errors, lazy pages, run caching only on a
+//     pool the arena owns, value-sized runs on a caller's pool, a run that
+//     exhausts its page budget failing with the pool's error and unwinding
+//     cleanly, each storage owner's steady-state page traffic, and a
+//     placeholder that escapes through an alias as zeros;
 //   * cross-context page sharing — serving contexts over one shared pool
 //     recycle a single physical page set (peak < 2x single-context peak),
 //     including across mixed-resolution tenants;
@@ -31,6 +32,7 @@
 #include "models/models.h"
 #include "obs/metrics.h"
 #include "obs/trace.h"
+#include "ops/nn/nn_ops.h"
 #include "sim/device_spec.h"
 #include "tensor/arena.h"
 #include "tensor/page_pool.h"
@@ -97,17 +99,14 @@ TEST(PagePool, RunsAreWholePagesAndFreedPagesAreReusedFirstFit) {
   EXPECT_EQ(pool.peak_bytes_in_use(), 4 * kPage);
 }
 
-TEST(PagePool, RefcountedRunsSurviveUntilTheLastRelease) {
+TEST(PagePool, ReleasingARunTwiceThrows) {
   PagePool pool;
   const PagePool::PageRun r = pool.alloc(kPage);
-  EXPECT_EQ(pool.refcount(r), 1);
-  pool.add_ref(r);
-  EXPECT_EQ(pool.refcount(r), 2);
-  pool.release(r);
-  EXPECT_EQ(pool.refcount(r), 1);
-  EXPECT_EQ(pool.pages_in_use(), 1);  // still live
   pool.release(r);
   EXPECT_EQ(pool.pages_in_use(), 0);
+  EXPECT_THROW(pool.release(r), Error);
+  EXPECT_EQ(pool.pages_in_use(), 0);
+  EXPECT_EQ(pool.total_page_frees(), 1);
 }
 
 TEST(PagePool, BudgetHoldsUnderConcurrentAllocation) {
@@ -222,48 +221,42 @@ TEST(PagedArena, UncachedArenasReturnPagesToThePoolOnRelease) {
   EXPECT_EQ(arena.page_bytes_held(), 0);
 }
 
-TEST(PagedArena, SharedAcquireAliasesPagesAndCopyOnReacquireProtectsReaders) {
-  // A caching arena: buffer 0 keeps its run across release, so only the
-  // alias's outstanding reference keeps the next acquire off those pages.
-  PagedArena arena({4096, 4096});
-
-  Tensor src = arena.acquire(0, Shape{16}, DType::kFloat32, false);
-  for (int i = 0; i < 16; ++i) src.data_f32()[i] = static_cast<float>(i);
-
-  // The alias views the same pages: zero-copy.
-  Tensor alias = arena.acquire_shared(1, 0, Shape{16}, DType::kFloat32);
-  EXPECT_EQ(alias.data_f32(), src.data_f32());
-
-  // Source released while the alias still reads; the next acquire of buffer
-  // 0 must NOT hand back the shared pages (copy-on-reacquire).
+TEST(PagedArena, ASharedPoolArenaTakesPagesForTheValueItHolds) {
+  // A caching arena's run serves every holder of its buffer, so it spans the
+  // planned bytes; a run from a caller's pool holds only the acquired value.
+  auto pool = std::make_shared<PagePool>();
+  PagedArena arena({4 * kPage}, pool);
+  Tensor t = arena.acquire(0, Shape{16}, DType::kFloat32, false);
+  EXPECT_EQ(arena.page_bytes_held(), kPage);
+  EXPECT_EQ(pool->pages_in_use(), 1);
+  EXPECT_EQ(arena.in_use_bytes(), 4 * kPage);  // accounting: planned bytes
   arena.release(0);
-  Tensor fresh = arena.acquire(0, Shape{16}, DType::kFloat32, false);
-  EXPECT_NE(fresh.data_f32(), alias.data_f32());
-  EXPECT_EQ(alias.data_f32()[7], 7.0f);  // alias contents intact
+  EXPECT_EQ(pool->pages_in_use(), 0);
 
-  arena.release(1);
-  arena.release(0);
-  // Sharing errors: aliasing a free buffer is a hard error.
-  EXPECT_THROW(arena.acquire_shared(1, 0, Shape{16}, DType::kFloat32), Error);
+  PagedArena caching({4 * kPage});
+  t = caching.acquire(0, Shape{16}, DType::kFloat32, false);
+  EXPECT_EQ(caching.page_bytes_held(), 4 * kPage);
+  caching.release(0);
 }
 
-TEST(PagedArena, OversizeAcquireGrowsTheRunAndRespectsThePoolBudget) {
-  PagePool::Options popts;
-  popts.max_bytes = 4 * kPage;
-  auto pool = std::make_shared<PagePool>(popts);
+TEST(PagedArena, AnAcquireBeyondThePlannedBytesThrows) {
+  // The plan sizes every buffer for its largest holder, so a value that
+  // does not fit is a planning error, not a reason to grow the run.
+  auto pool = std::make_shared<PagePool>();
   PagedArena arena({kPage}, pool);
-
-  // Data-dependent output larger than the planned bytes: the run grows.
-  Tensor big = arena.acquire(0, Shape{kPage / 2}, DType::kFloat32, false);
-  EXPECT_EQ(big.nbytes(), 2 * kPage);
-  EXPECT_EQ(arena.page_bytes_held(), 2 * kPage);
-  arena.release(0);
-
-  // But never past the pool budget: a request beyond max_bytes throws
-  // (validating data-dependent outputs against capacity).
-  EXPECT_THROW(arena.acquire(0, Shape{2 * kPage}, DType::kFloat32, false),
+  EXPECT_THROW(arena.acquire(0, Shape{kPage / 4 + 1}, DType::kFloat32, false),
                Error);
   EXPECT_EQ(pool->bytes_in_use(), 0);
+  EXPECT_EQ(arena.in_use_bytes(), 0);
+  // The failed acquire left the buffer free: a value that fits takes it.
+  Tensor t = arena.acquire(0, Shape{kPage / 4}, DType::kFloat32, false);
+  EXPECT_EQ(arena.page_bytes_held(), kPage);
+  arena.release(0);
+
+  PagedArena caching({kPage});
+  EXPECT_THROW(caching.acquire(0, Shape{kPage / 4 + 1}, DType::kFloat32, false),
+               Error);
+  EXPECT_EQ(caching.page_bytes_held(), 0);
 }
 
 TEST(PagedArena, AFailedAcquireIsReportedAsTheBudgetAndUnwindsTheRun) {
@@ -342,6 +335,72 @@ TEST(PagedArena, EachStorageOwnersSteadyStatePageTrafficIsPinned) {
   const RunResult per_call = cm.run(ropts);
   EXPECT_EQ(cm.page_pool()->bytes_in_use(), 0);
   EXPECT_EQ(per_call.arena_page_bytes, 0);
+
+  // YOLOv3 with its decode and NMS on the CPU reads materialized data
+  // through device copies. They are stored in their inputs' buffers, so the
+  // persistent context takes no pages after warm-up here either.
+  Rng yolo_rng(0x5eed);
+  CompileOptions copts;
+  copts.skip_tuning = true;
+  copts.cpu_fallback_ops = {graph::OpKind::kYoloDecode, graph::OpKind::kBoxNms};
+  const CompiledModel yolo =
+      compile(models::build_yolov3(yolo_rng, 64, 1, 20), plat(), copts);
+  RunOptions yolo_persistent;
+  yolo_persistent.use_arena = true;
+  (void)yolo.run(yolo_persistent);
+  const int64_t yolo_before = page_allocs.value();
+  const RunResult yolo_warm = yolo.run(yolo_persistent);
+  EXPECT_EQ(page_allocs.value(), yolo_before);
+  EXPECT_GT(yolo_warm.arena_page_bytes, 0);
+}
+
+TEST(PagedArena, APlaceholderThatEscapesThroughAnAliasIsZeros) {
+  // conv -> global pool -> Flatten (the output): the Flatten views the
+  // pool's buffer. On every storage owner, a numerics-on run equals the
+  // pooled conv output, and a numerics-off run after it returns zeros, not
+  // the previous run's numbers left in the pages.
+  Rng rng(0x5eed);
+  graph::Graph g;
+  const int data = g.add_input("data", Shape{1, 4, 8, 8});
+  ops::Conv2dParams p;
+  p.in_channels = 4;
+  p.out_channels = 8;
+  p.in_h = p.in_w = 8;
+  p.kernel_h = p.kernel_w = 3;
+  p.pad_h = p.pad_w = 1;
+  const int conv = g.add_conv2d(
+      "conv", data, p, Tensor::random_normal(Shape{8, 4, 3, 3}, rng));
+  graph::Graph conv_only = g;
+  conv_only.set_output(conv);
+  g.set_output(g.add_flatten("flat", g.add_global_avg_pool("gap", conv)));
+  const CompiledModel cm = compile_untuned(models::Model{"gap_flat", g});
+  const CompiledModel ref =
+      compile_untuned(models::Model{"conv_only", conv_only});
+
+  RunOptions numeric;
+  numeric.backend = RunBackend::kInterp;
+  const Tensor want =
+      ops::global_avg_pool_reference(ref.run(numeric).output)
+          .reshape(Shape{1, 8});
+  RunOptions shapes_only = numeric;
+  shapes_only.compute_numerics = false;
+
+  auto ctx = cm.make_serving_context(0, 0, std::make_shared<PagePool>());
+  struct Owner {
+    const char* name;
+    bool persistent;
+    ServingContext* context;
+  };
+  for (const Owner& o : {Owner{"per-call", false, nullptr},
+                         Owner{"persistent", true, nullptr},
+                         Owner{"serving", false, ctx.get()}}) {
+    numeric.use_arena = shapes_only.use_arena = o.persistent;
+    numeric.serving_context = shapes_only.serving_context = o.context;
+    expect_bit_identical(cm.run(numeric).output, want, o.name);
+    const Tensor zeros = cm.run(shapes_only).output;
+    ASSERT_TRUE(zeros.shape() == want.shape()) << o.name;
+    for (float x : zeros.span_f32()) EXPECT_EQ(x, 0.0f) << o.name;
+  }
 }
 
 // ----- cross-context physical page sharing ----------------------------------
